@@ -10,10 +10,9 @@ import hashlib
 import os
 import sys
 
-import numpy as np
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
 N_PAGES = 500
@@ -23,11 +22,12 @@ def build():
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from tilemaker_ray.config import default_config
+    from tilemaker_ray.pipelines.chain import tiles_local
+    from tilemaker_ray.profile import extract_text
     from tilemaker_ray.sources.pages import generate_block
     from tilemaker_ray.stages.extract import PageFeatureExtractor
     from tilemaker_ray.stages.tiles import LOWZOOM, assign_tiles_batch
-    from tilemaker_ray.stages.render import TileRenderer
-    from tilemaker_ray.profile import extract_text
 
     os.makedirs(GOLDEN, exist_ok=True)
     pages = generate_block(42, 0, N_PAGES)
@@ -47,15 +47,13 @@ def build():
           .reset_index(drop=True))
     ta.to_parquet(os.path.join(GOLDEN, "expected_tile_assignments.parquet"))
 
-    # F4.2 — per-tile MVT byte hashes (one-stage renderer, deterministic)
-    r = TileRenderer()
+    # F4.2 — per-tile MVT byte hashes (the tile chain, in process)
+    out = tiles_local(feats, default_config())
     rows = []
-    for key, gdf in assigned.groupby(["z6x", "z6y"]):
-        out = r(gdf)
-        for _, row in out.iterrows():
-            rows.append((int(row.zoom), int(row.tile_x), int(row.tile_y),
-                         int(row.n_features),
-                         hashlib.sha256(row.mvt).hexdigest()))
+    for _, row in out.iterrows():
+        rows.append((int(row.zoom), int(row.tile_x), int(row.tile_y),
+                     int(row.n_features),
+                     hashlib.sha256(row.mvt).hexdigest()))
     tiles = pd.DataFrame(rows, columns=["zoom", "tile_x", "tile_y",
                                         "n_features", "mvt_sha256"])
     tiles = tiles.sort_values(["zoom", "tile_x", "tile_y"]).reset_index(drop=True)

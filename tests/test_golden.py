@@ -1,7 +1,8 @@
 """Frozen golden expectations (FIXTURES.md F4): any change to
-extraction, tile assignment, rendering, or MVT encoding that alters
-these is either a bug or an intentional semantic change (regenerate
-with scripts/freeze_golden.py and say so in the commit)."""
+extraction, tile assignment, the tile chain (geometry, assembly), or
+MVT encoding that alters these is either a bug or an intentional
+semantic change (regenerate with scripts/freeze_golden.py and say so
+in the commit)."""
 
 import hashlib
 import os
@@ -39,19 +40,16 @@ class TestGolden:
         pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
     def test_tile_bytes(self, pages):
+        from tilemaker_ray.config import default_config
+        from tilemaker_ray.pipelines.chain import tiles_local
         from tilemaker_ray.stages.extract import PageFeatureExtractor
-        from tilemaker_ray.stages.render import TileRenderer
-        from tilemaker_ray.stages.tiles import assign_tiles_batch
         exp = pd.read_parquet(os.path.join(GOLDEN, "expected_tiles.parquet"))
-        assigned = assign_tiles_batch(PageFeatureExtractor()(pages)).to_pandas()
-        r = TileRenderer()
+        out = tiles_local(PageFeatureExtractor()(pages), default_config())
         rows = []
-        for key, gdf in assigned.groupby(["z6x", "z6y"]):
-            out = r(gdf)
-            for _, row in out.iterrows():
-                rows.append((int(row.zoom), int(row.tile_x), int(row.tile_y),
-                             int(row.n_features),
-                             hashlib.sha256(row.mvt).hexdigest()))
+        for _, row in out.iterrows():
+            rows.append((int(row.zoom), int(row.tile_x), int(row.tile_y),
+                         int(row.n_features),
+                         hashlib.sha256(row.mvt).hexdigest()))
         got = pd.DataFrame(rows, columns=["zoom", "tile_x", "tile_y",
                                           "n_features", "mvt_sha256"])
         got = got.sort_values(["zoom", "tile_x", "tile_y"]).reset_index(drop=True)

@@ -546,6 +546,30 @@ class TestInterpreterHardening:
         run("while true do local f = function() "
             "for i=1,2 do break end end f() break end")
 
+    def test_boolean_keys_distinct_from_numbers(self):
+        g = run("""
+            t = {}
+            t[1] = "one"; t[true] = "yes"; t[0] = "zero"; t[false] = "no"
+            a, b, c, d = t[1], t[true], t[0], t[false]
+            n = #t
+            bools = 0
+            for k, v in pairs(t) do
+              if type(k) == "boolean" then bools = bools + 1 end
+            end
+        """)
+        assert (g["a"], g["b"], g["c"], g["d"]) == ("one", "yes", "zero", "no")
+        assert g["n"] == 1.0 and g["bools"] == 2.0
+
+    def test_compare_string_with_number_raises(self):
+        with pytest.raises(LuaError, match="compare string with number"):
+            run('x = "10" < 5')
+        g = run("""
+            ok = pcall(function() return 1 <= "2" end)
+            s = "10" < "9"
+            n = 10 < 9
+        """)
+        assert g["ok"] is False and g["s"] is True and g["n"] is False
+
     def test_gsub_bad_capture_index_is_lua_error(self):
         g = run("""
             ok, err = pcall(function()

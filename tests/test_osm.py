@@ -252,3 +252,44 @@ def test_multi_input_pbf_matches_single(tmp_path):
     multi = (osm_tile_dataset([a, b]).to_pandas()[cols]
              .sort_values(cols[:3]).reset_index(drop=True))
     pd.testing.assert_frame_equal(single, multi)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_osm_tile_dataset_matches_local_chain(tmp_path):
+    """osm_tile_dataset over a seeded synthetic PBF (highways,
+    buildings, multipolygon relations) gives, tile for tile, the bytes
+    of the in-process tile chain over the same features."""
+    import hashlib
+    import os
+    import sys
+
+    import pyarrow as pa
+
+    from tilemaker_ray.pipelines.chain import tiles_local
+    from tilemaker_ray.pipelines.osm import (osm_config, osm_feature_dataset,
+                                             osm_tile_dataset)
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts"))
+    from synth_pbf import synthesize
+
+    path = str(tmp_path / "synth.osm.pbf")
+    counts = synthesize(path, n_nodes=6000, n_ways=400, n_rels=12,
+                        block_entities=2000, seed=7)
+    assert counts["ways"] == 400 and counts["relations"] == 12
+    config = osm_config()
+
+    def digests(df):
+        return sorted((int(z), int(x), int(y), hashlib.sha256(bytes(m)).hexdigest())
+                      for z, x, y, m in zip(df["zoom"], df["tile_x"],
+                                            df["tile_y"], df["mvt"]))
+
+    got = osm_tile_dataset(path, config).to_pandas()
+    assert not got.duplicated(subset=["zoom", "tile_x", "tile_y"]).any()
+    feats = pa.concat_tables(list(osm_feature_dataset(path, config)
+                                  .iter_batches(batch_format="pyarrow")))
+    geom_types = set(feats.column("geom_type").to_pylist())
+    assert {gc.LINESTRING_, gc.POLYGON_} <= geom_types
+    expect = digests(tiles_local(feats, config))
+    assert len(expect) > 100
+    assert digests(got) == expect

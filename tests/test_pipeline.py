@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -5,12 +7,17 @@ import pytest
 
 from tilemaker_ray import mvt
 from tilemaker_ray import tilemath as tm
+from tilemaker_ray.config import default_config
 from tilemaker_ray.geom import core as gc
+from tilemaker_ray.pipelines.chain import tiles_local
 from tilemaker_ray.profile import WebProfile, extract_text, hash_url
 from tilemaker_ray.sources.pages import generate_block, pages_path
 from tilemaker_ray.stages.extract import PageFeatureExtractor
-from tilemaker_ray.stages.render import TileRenderer
 from tilemaker_ray.stages.tiles import LOWZOOM, assign_tiles_batch
+
+
+def uncompressed(config=None):
+    return dataclasses.replace(config or default_config(), compress="none")
 
 
 @pytest.fixture(scope="module")
@@ -103,17 +110,14 @@ class TestAssign:
 
 class TestRenderE2E:
     def test_tiles_render_and_decode(self, features):
-        assigned = assign_tiles_batch(features).to_pandas()
-        r = TileRenderer()
+        out = tiles_local(features, default_config())
         total_feats = 0
         seen = set()
-        for key, gdf in assigned.groupby(["z6x", "z6y"]):
-            out = r(gdf)
-            for _, row in out.iterrows():
-                k = (row.zoom, row.tile_x, row.tile_y)
-                assert k not in seen
-                seen.add(k)
-                total_feats += row.n_features
+        for _, row in out.iterrows():
+            k = (row.zoom, row.tile_x, row.tile_y)
+            assert k not in seen
+            seen.add(k)
+            total_feats += row.n_features
         assert total_feats > 0
         assert len(seen) > 50
 
@@ -128,9 +132,7 @@ class TestRenderE2E:
             "attrs": ['[["name",0,0,"x"]]'], "lon": [lon], "latp": [latp],
             "geom": [b""],
         })
-        df = assign_tiles_batch(t).to_pandas()
-        r = TileRenderer(compress=False)
-        out = r(df)
+        out = tiles_local(t, uncompressed())
         z14 = out[out.zoom == 14].iloc[0]
         assert (z14.tile_x, z14.tile_y) == (8529, 5974)
         dec = mvt.decode_tile(z14.mvt)
@@ -149,9 +151,7 @@ class TestRenderE2E:
             "attrs": ['[["host",0,10,"h"],["lang",0,0,"en"]]'],
             "lon": [lon], "latp": [latp], "geom": [b""],
         })
-        df = assign_tiles_batch(t).to_pandas()
-        r = TileRenderer(compress=False)
-        out = r(df)
+        out = tiles_local(t, uncompressed())
         z8 = out[out.zoom == 8].iloc[0]
         z12 = out[out.zoom == 12].iloc[0]
         f8 = mvt.decode_tile(z8.mvt)["places"]["features"][0]
@@ -171,18 +171,15 @@ class TestRenderE2E:
             "attrs": ["[]"], "lon": [float("nan")], "latp": [float("nan")],
             "geom": [gc.pack_mp([[ring]])],
         })
-        df = assign_tiles_batch(t).to_pandas()
-        r = TileRenderer(compress=False)
-        for key, gdf in df[df.z6x != LOWZOOM].groupby(["z6x", "z6y"]):
-            out = r(gdf)
-            for _, row in out[out.zoom == 14].iterrows():
-                dec = mvt.decode_tile(row.mvt)
-                for f in dec["areas"]["features"]:
-                    for part in f["parts"]:
-                        for (x, y) in part:
-                            # clip margin is extent/200 ≈ 20.5 + rounding
-                            assert -21 <= x <= 4096 + 21
-                            assert -21 <= y <= 4096 + 21
+        out = tiles_local(t, uncompressed())
+        for _, row in out[out.zoom == 14].iterrows():
+            dec = mvt.decode_tile(row.mvt)
+            for f in dec["areas"]["features"]:
+                for part in f["parts"]:
+                    for (x, y) in part:
+                        # clip margin is extent/200 ≈ 20.5 + rounding
+                        assert -21 <= x <= 4096 + 21
+                        assert -21 <= y <= 4096 + 21
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -214,9 +211,7 @@ class TestZ15Lossy:
             "min_zoom": pa.array([14], pa.uint8()), "z_order": pa.array([0], pa.int16()),
             "attrs": ["[]"], "lon": [lon], "latp": [latp], "geom": [b""],
         })
-        df = assign_tiles_batch(t).to_pandas()
-        r = TileRenderer(cfg, compress=False)
-        out = r(df)
+        out = tiles_local(t, uncompressed(cfg))
         # exactly one tile per zoom 14..16 (empty z15/z16 siblings dropped)
         for z in (14, 15, 16):
             zt = out[out.zoom == z]
@@ -243,9 +238,7 @@ class TestZ15Lossy:
             "attrs": ["[]"], "lon": [float("nan")], "latp": [float("nan")],
             "geom": [gc.pack_mp([[ring]])],
         })
-        df = assign_tiles_batch(t).to_pandas()
-        r = TileRenderer(cfg, compress=False)
-        out = r(df[df.z6x != LOWZOOM])
+        out = tiles_local(t, uncompressed(cfg))
         z15 = out[out.zoom == 15]
         assert 1 <= len(z15) <= 9  # only children actually touched
         for _, row in z15.iterrows():

@@ -42,12 +42,48 @@ class LuaError(Exception):
 # values
 # ---------------------------------------------------------------------------
 
+class _BoolKey:
+    """Table slot of a boolean key. Python's dict treats True == 1 and
+    False == 0; Lua keeps t[true] and t[1] apart."""
+    __slots__ = ()
+
+
+_TRUE_KEY, _FALSE_KEY = _BoolKey(), _BoolKey()
+
+
 def _normkey(k):
+    if isinstance(k, bool):
+        return _TRUE_KEY if k else _FALSE_KEY
     if isinstance(k, float) and k.is_integer():
         return int(k)
-    if isinstance(k, bool):
-        return k
     return k
+
+
+def _denormkey(k):
+    if k is _TRUE_KEY:
+        return True
+    if k is _FALSE_KEY:
+        return False
+    return k
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _type_name(v=None) -> str:
+    """Lua's type()."""
+    if v is None:
+        return "nil"
+    if isinstance(v, bool):
+        return "boolean"
+    if _is_number(v):
+        return "number"
+    if isinstance(v, str):
+        return "string"
+    if isinstance(v, LuaTable):
+        return "table"
+    return "function"
 
 
 class LuaTable:
@@ -69,6 +105,9 @@ class LuaTable:
             self.h.pop(k, None)
         else:
             self.h[k] = v
+
+    def items(self) -> list:
+        return [(_denormkey(k), v) for k, v in self.h.items()]
 
     def length(self) -> int:
         n = 0
@@ -224,6 +263,18 @@ def tokenize(src: str):
 # parser — produces tuple ASTs
 # ---------------------------------------------------------------------------
 
+class _Block(list):
+    """A block's statements. `scoped` is set at parse time when the
+    block declares locals: a block without `local` can't shadow, so it
+    runs in its parent's Env (measured: Env churn was a top interpreter
+    cost)."""
+    __slots__ = ("scoped",)
+
+    def __init__(self, stmts):
+        super().__init__(stmts)
+        self.scoped = any(st[0] in ("local", "localfn") for st in stmts)
+
+
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
@@ -264,7 +315,10 @@ class _Parser:
         finally:
             self.loop_depth -= 1
 
-    def block(self):
+    def block(self) -> _Block:
+        return _Block(self._statements())
+
+    def _statements(self) -> list:
         stmts = []
         while True:
             k = self.peek()
@@ -316,7 +370,7 @@ class _Parser:
             cond = self.expr()
             self.expect("then")
             arms.append((cond, self.block()))
-            els = []
+            els = _Block([])
             while True:
                 t = self.next()
                 if t[0] == "elseif":
@@ -592,7 +646,6 @@ class LuaInterpreter:
 
     def __init__(self):
         self.globals: dict = {}
-        self._needs_scope: dict = {}   # id(stmts) -> block has locals
         self._install_stdlib()
 
     # ---- public API -------------------------------------------------------
@@ -618,19 +671,6 @@ class LuaInterpreter:
             # the reference routes print to stdout; keep it harmless
             print("[lua]", *[lua_tostring(x) for x in a])
 
-        def _type(v=None):
-            if v is None:
-                return "nil"
-            if isinstance(v, bool):
-                return "boolean"
-            if isinstance(v, (int, float)):
-                return "number"
-            if isinstance(v, str):
-                return "string"
-            if isinstance(v, LuaTable):
-                return "table"
-            return "function"
-
         def _next(t, k=None):
             keys = list(t.h.keys())
             if k is None:
@@ -643,7 +683,7 @@ class LuaInterpreter:
             if idx >= len(keys):
                 return None
             kk = keys[idx]
-            return (kk, t.h[kk])
+            return (_denormkey(kk), t.h[kk])
 
         def _pairs(t):
             # snapshot the keys so clearing the CURRENT field during
@@ -657,7 +697,7 @@ class LuaInterpreter:
                     kk = keys[idx[0]]
                     idx[0] += 1
                     if kk in t.h:
-                        return (kk, t.h[kk])
+                        return (_denormkey(kk), t.h[kk])
                 return None
 
             return (step, t, None)
@@ -707,7 +747,7 @@ class LuaInterpreter:
 
         g.update({
             "select": _select,
-            "print": _print, "type": _type, "tostring": lua_tostring,
+            "print": _print, "type": _type_name, "tostring": lua_tostring,
             "tonumber": lua_tonumber, "pairs": _pairs, "ipairs": _ipairs,
             "next": _next, "error": _error, "assert": _assert,
             "pcall": _pcall, "unpack": _unpack,
@@ -958,15 +998,9 @@ class LuaInterpreter:
         for st in stmts:
             self.exec_stmt(st, env)
 
-    def _scoped(self, stmts, env: Env) -> Env:
-        """A child Env only when the block declares locals — blocks
-        without `local` can't shadow, so the parent env is reusable
-        (measured: Env churn was a top interpreter cost)."""
-        need = self._needs_scope.get(id(stmts))
-        if need is None:
-            need = any(s[0] in ("local", "localfn") for s in stmts)
-            self._needs_scope[id(stmts)] = need
-        return Env(env) if need else env
+    @staticmethod
+    def _scoped(block: _Block, env: Env) -> Env:
+        return Env(env) if block.scoped else env
 
     def exec_stmt(self, st, env: Env):
         op = st[0]
@@ -1245,10 +1279,10 @@ class LuaInterpreter:
             sb = b if isinstance(b, str) else _numstr(b)
             return sa + sb
         if k in ("<", "<=", ">", ">="):
-            if isinstance(a, str) and isinstance(b, str):
-                pass
-            else:
-                a, b = self._num(a), self._num(b)
+            if not (isinstance(a, str) and isinstance(b, str)
+                    or _is_number(a) and _is_number(b)):
+                raise LuaError(f"attempt to compare {_type_name(a)} "
+                               f"with {_type_name(b)}")
             if k == "<":
                 return a < b
             if k == "<=":

@@ -1,17 +1,19 @@
 """The flagship pipeline: web pages → features → tiles → MVT.
 
-Ray-Data lifecycle (SURVEY §3.4):
+Ray-Data lifecycle:
 
-    read_parquet(pages)                              [stream]
-      → map_batches(PageFeatureExtractor, actors)    [ST1]
-      → map_batches(assign_tiles_batch)              [A1 explode]
-      → groupby((z6x, z6y)).map_groups(TileRenderer) [A3-A5 + encode]
-      → write_parquet / iter_batches                 [sink]
+    read_parquet(pages)                                [stream]
+      → map_batches(PageFeatureExtractor, actors)      [ST1]
+      → map_batches(GeomMap)                           [A1 explode +
+                                                        clip/simplify/scale]
+      → map_batches(add_partition_key)                 [exchange key]
+      → groupby("pk").map_groups(TileAssembler)        [A3-A5 + encode]
+      → write_parquet / iter_batches / a tile sink     [sink]
 
-Everything streams; the only all-to-all exchange is the single groupby
-on the (z6x, z6y) subtree key. Large features ride the same shuffle
-(see stages/tiles.py docstring) so there is no second pass and no
-driver-side materialization.
+Everything streams; the only all-to-all exchange is the groupby on the
+macro-block partition key. The three stages after extraction are the
+tile chain (pipelines/chain.py) the OSM and incremental pipelines run
+too.
 """
 
 from __future__ import annotations
@@ -23,15 +25,24 @@ import ray.data
 
 from ..config import Config, default_config
 from ..stages.extract import PageFeatureExtractor
-from ..stages.render import TileRenderer
-from ..stages.tiles import assign_tiles_batch
+from ..stages.salted import data_num_partitions, dir_input_bytes
+from . import chain
 
 
-def _default_concurrency() -> int:
+def _extractor_pool() -> tuple[int, int]:
+    """(actors, CPUs per actor) of the default extractor pool.
+
+    A fixed pool that holds every CPU leaves none for the read,
+    geometry and exchange tasks, and the build waits forever; so the
+    pool keeps at least one CPU free: max(2, n//2) actors at n >= 4
+    CPUs, n-1 below that. On one CPU there is nothing to keep free, so
+    the single actor reserves no CPU and shares the core with the
+    tasks."""
     import ray
     n = int(ray.cluster_resources().get("CPU", 8))
-    # leave headroom for the read / assign / render stages
-    return max(2, n // 2)
+    if n <= 1:
+        return 1, 0
+    return min(max(2, n // 2), n - 1), 1
 
 
 class _WarcPageDeriver:
@@ -66,8 +77,9 @@ def feature_dataset(pages_dir: str, config: Config | None = None,
     serves both the full and the filtered run; non-matching pages never
     reach the extractor."""
     config = config or default_config()
+    actor_cpus = 1
     if concurrency is None:
-        concurrency = _default_concurrency()
+        concurrency, actor_cpus = _extractor_pool()
     known = {l.name for l in config.layers}
     kwargs = {"known_layers": known}
     if profile_factory is not None:
@@ -104,27 +116,22 @@ def feature_dataset(pages_dir: str, config: Config | None = None,
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
+        num_cpus=actor_cpus,
     )
 
 
 def tile_dataset(pages_dir: str, config: Config | None = None,
                  concurrency: int | tuple | None = None,
-                 mode: str = "single_pass",
-                 two_stage: bool | None = None,
                  with_joins: bool = False,
                  profile_factory=None) -> ray.data.Dataset:
-    """mode: "single_pass" (default — geometry as a plain map_batches,
-    ONE shuffle total), "salted" (z6-salted geometry shuffle + assembly
-    shuffle; the resumable path uses this keying), "one_stage" (legacy
-    per-z6 render, kept for equality tests)."""
-    if two_stage is not None:  # back-compat for tests
-        mode = "salted" if two_stage else "one_stage"
+    """pages → MVT tiles: feature_dataset, then the tile chain
+    (pipelines/chain.py) with one exchange."""
     config = config or default_config()
     # smaller blocks through the tile shuffle: the sort would otherwise
     # pack the whole exploded dataset into a couple of 128 MB blocks and
-    # the render stage would run 1-2 tasks. 8 MB ≈ 30-60 render tasks at
-    # sf0.1; at 100 TB the natural block count dwarfs this and the knob
-    # is a no-op.
+    # the assembly stage would run 1-2 tasks. 8 MB ≈ 30-60 assembly
+    # tasks at sf0.1; at 100 TB the natural block count dwarfs this and
+    # the knob is a no-op.
     from ray.data import DataContext
     ctx = DataContext.get_current()
     if ctx.target_max_block_size is None or ctx.target_max_block_size > 8 * 1024 * 1024:
@@ -132,79 +139,11 @@ def tile_dataset(pages_dir: str, config: Config | None = None,
     feats = feature_dataset(pages_dir, config, concurrency=concurrency,
                             with_joins=with_joins,
                             profile_factory=profile_factory)
-
-    if mode == "single_pass":
-        from ..stages.salted import (GeomMap, TileAssembler, add_partition_key,
-                                     data_num_partitions, dir_input_bytes)
-        geom_map = GeomMap(config)
-        assembler_sp = TileAssembler(config)
-        # data-derived exchange width: est exploded bytes / target group
-        # size (VERDICT r2 #4) — CPU-floored at small scale, macro-block
-        # capped at large
-        nparts = data_num_partitions(dir_input_bytes(pages_dir))
-
-        def run_geom_map(b):
-            return geom_map(b)
-
-        def add_pk(df):
-            return add_partition_key(df, nparts)
-
-        def run_assemble_sp(df):
-            return assembler_sp(df)
-
-        partials = (feats.map_batches(run_geom_map, batch_format="pyarrow")
-                         .map_batches(add_pk, batch_format="pandas"))
-        return partials.groupby("pk").map_groups(
-            run_assemble_sp, batch_format="pandas")
-
-    assigned = feats.map_batches(
-        lambda b: assign_tiles_batch(b, config.base_zoom),
-        batch_format="pyarrow")
-    if mode == "one_stage":
-        renderer = TileRenderer(config)
-
-        def render_group(df):
-            return renderer(df)
-
-        # plain-function map_groups: stateless task pool scales
-        # elastically (the renderer's state is just the config;
-        # per-group caches live inside the call)
-        return assigned.groupby(["z6x", "z6y"]).map_groups(
-            render_group, batch_format="pandas")
-
-    # two-stage salted render (stages/salted.py): geometry work salted
-    # by feature_id so dense z6 subtrees split across tasks; MVT
-    # assembly grouped by tile macro-blocks (bounded by feature_limit —
-    # no hot keys in the second shuffle)
-    from ..stages.salted import SALT_K, GeomStage, TileAssembler
-    import numpy as np
-    import pyarrow as pa
-
-    def add_salt(b: pa.Table) -> pa.Table:
-        fid = b.column("feature_id").to_numpy()
-        return b.append_column("salt", pa.array((fid % SALT_K).astype(np.uint8)))
-
-    geom_stage = GeomStage(config)
-    assembler = TileAssembler(config)
-
-    def run_geom(df):
-        return geom_stage(df)
-
-    def run_assemble(df):
-        return assembler(df)
-
-    salted = assigned.map_batches(add_salt, batch_format="pyarrow")
-    partials = salted.groupby(["z6x", "z6y", "salt"]).map_groups(
-        run_geom, batch_format="pandas")
-    # checkpoint the bounded post-geometry intermediate: two chained
-    # all-to-all sorts in one streaming DAG interleave poorly (measured
-    # 75s fused vs 43s split at sf0.1); the sort would materialize its
-    # input anyway, and this also gives the resume point between the
-    # two shuffles
-    partials = partials.materialize()
-    tiles = partials.groupby(["zoom", "mx", "my"]).map_groups(
-        run_assemble, batch_format="pandas")
-    return tiles
+    # data-derived exchange width: est exploded bytes / target group
+    # size (VERDICT r2 #4) — CPU-floored at small scale, macro-block
+    # capped at large
+    nparts = data_num_partitions(dir_input_bytes(pages_dir))
+    return chain.tiles(feats, nparts, config)
 
 
 def run_flagship(pages_dir: str, out_dir: str | None = None,

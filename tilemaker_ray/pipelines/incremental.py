@@ -64,6 +64,7 @@ import ray
 import ray.data
 
 from ..config import Config, default_config
+from . import chain
 
 
 def _tile_key(zoom, x, y) -> np.ndarray:
@@ -82,13 +83,11 @@ def geom_store(pages_dir: str, config: Config | None = None,
     flagship.feature_dataset's own filter hook, so the full and the
     filtered runs share ONE extractor wiring (columns, kwargs, profile,
     WARC derivation) and cannot drift apart (review r4)."""
-    from ..stages.salted import GeomMap
     from .flagship import feature_dataset
 
     config = config or default_config()
-    feats = feature_dataset(pages_dir, config, url_filter=url_filter)
-    geom_map = GeomMap(config)
-    return feats.map_batches(lambda b: geom_map(b), batch_format="pyarrow")
+    return chain.geometry(
+        feature_dataset(pages_dir, config, url_filter=url_filter), config)
 
 
 def save_store(store: ray.data.Dataset, path: str) -> None:
@@ -165,18 +164,11 @@ def load_tiles(path: str) -> ray.data.Dataset:
 
 def assemble_tiles(store: ray.data.Dataset, nparts: int,
                    config: Config | None = None) -> ray.data.Dataset:
-    """Stage B of the single-pass pipeline over an (optionally
+    """The assembly half of the tile chain over an (optionally
     filtered) feature store: pk exchange + TileAssembler — the same
     code path as pipelines/flagship.tile_dataset, so per-tile output
     bytes are identical however the store was produced."""
-    from ..stages.salted import TileAssembler, add_partition_key
-
-    config = config or default_config()
-    assembler = TileAssembler(config)
-    keyed = store.map_batches(lambda df: add_partition_key(df, nparts),
-                              batch_format="pandas")
-    return keyed.groupby("pk").map_groups(lambda df: assembler(df),
-                                          batch_format="pandas")
+    return chain.assemble(store, nparts, config or default_config())
 
 
 # ids/keys above this escalate to the Bloom path.  The broadcast
@@ -283,8 +275,6 @@ def incremental_update(old_dir: str, new_dir: str,
     run; a DataFrame is accepted for convenience at test scale).
     `stats`, if passed, is filled with the increment's shape
     (touched/pass-through counts, which membership path ran)."""
-    from .flagship import tile_dataset  # noqa: F401  (parity twin)
-
     config = config or default_config()
     if isinstance(old_tiles, pd.DataFrame):
         old_tiles = ray.data.from_pandas(old_tiles)

@@ -11,8 +11,9 @@ The reference's ingestion phases (pbf_processor.cpp:506-748) map to:
   before the profile
 - per-entity profile hooks: node_function / way_function
   (osm_lua_processing.cpp:274-286) with the same emit verbs
-- the rest of the pipeline (GeomMap → pk exchange → TileAssembler) is
-  IDENTICAL to the web flagship — one engine, two sources.
+- the rest of the pipeline is the tile chain (pipelines/chain.py:
+  GeomMap → pk exchange → TileAssembler) the web flagship runs — one
+  engine, two sources.
 """
 
 from __future__ import annotations
@@ -906,23 +907,9 @@ def osm_tile_dataset(path, config: Config | None = None,
     semantics) → MVT tiles through the SAME
     single-pass engine as the web flagship."""
     config = config or osm_config()
-    from ..stages.salted import (GeomMap, TileAssembler, add_partition_key,
-                                 data_num_partitions, dir_input_bytes)
+    from ..stages.salted import data_num_partitions, dir_input_bytes
+    from .chain import tiles
     feats = osm_feature_dataset(path, config, profile=profile)
-    geom_map = GeomMap(config)
-    assembler = TileAssembler(config)
     nparts = data_num_partitions(sum(dir_input_bytes(p)
                                      for p in _paths(path)))
-
-    def run_geom(b):
-        return geom_map(b)
-
-    def add_pk(df):
-        return add_partition_key(df, nparts)
-
-    def run_assemble(df):
-        return assembler(df)
-
-    partials = (feats.map_batches(run_geom, batch_format="pyarrow")
-                     .map_batches(add_pk, batch_format="pandas"))
-    return partials.groupby("pk").map_groups(run_assemble, batch_format="pandas")
+    return tiles(feats, nparts, config)

@@ -42,8 +42,8 @@ import ray.data
 
 from ..config import Config, default_config
 from ..state.manifest import Manifest, atomic_write
-from ..stages.salted import SALT_K, GeomStage, TileAssembler
-from ..stages.tiles import assign_tiles_batch
+from ..stages.salted import TileAssembler
+from . import chain
 from .flagship import feature_dataset
 
 
@@ -164,12 +164,6 @@ def run_resumable(pages_dir: str, out_dir: str,
     if ctx.target_max_block_size is None or ctx.target_max_block_size > 8 * 1024 * 1024:
         ctx.target_max_block_size = 8 * 1024 * 1024
 
-    from ..stages.salted import GeomMap
-    geom_map = GeomMap(config)
-
-    def run_geom(b):
-        return geom_map(b)
-
     def skip_done(df: pd.DataFrame) -> pd.DataFrame:
         """Anti-join against the completed-partition set. Captured in
         the task closure (plain function — an actor pool here would
@@ -215,8 +209,7 @@ def run_resumable(pages_dir: str, out_dir: str,
         partials = (ray.data.read_parquet(fdir)
                     .map_batches(skip_done, batch_format="pandas"))
     else:
-        partials = (feature_dataset(pages_dir, config)
-                    .map_batches(run_geom, batch_format="pyarrow")
+        partials = (chain.geometry(feature_dataset(pages_dir, config), config)
                     .map_batches(add_pk, batch_format="pandas")
                     .map_batches(skip_done, batch_format="pandas"))
     tiles = partials.groupby("pk").map_groups(

@@ -35,7 +35,7 @@ def _table_to_list(t) -> list:
 
 
 def _table_to_dict(t) -> dict:
-    return {} if t is None else dict(t.h)
+    return {} if t is None else dict(t.items())
 
 
 def _dict_to_table(d: dict) -> LuaTable:
