@@ -107,16 +107,11 @@ def _token_counts(sf_dir: str):
     (exact distributed ntile over (lm_bits, doc_id) — the CCNet
     head/middle/tail split) ⊕ seq_pack (GPT-style concat-and-chunk
     packing positions via a distributed prefix sum — same per-doc
-    grain) ⊕ export_doc_spans (the REAL tokenize→place→exchange→write
-    export pipeline under the SQL-expressible WsTokenizer surrogate —
-    per-doc block/shard placement and id sums read back from the
-    WRITTEN shards, r5)."""
+    grain)."""
     from tilemaker_ray.ops import text
-    from tilemaker_ray.pipelines.export import export_doc_spans
 
     a = text.q_token_count(sf_dir)
     a = a.merge(text.q_seq_pack(sf_dir), on="doc_id")
-    a = a.merge(export_doc_spans(sf_dir), on="doc_id")
     b = text.q_normalize_text(sf_dir).rename(
         columns={"n_tokens": "n_clean_tokens"})
     # ONE bigram-LM run feeds both the score column and the tercile
@@ -130,17 +125,14 @@ def _token_counts(sf_dir: str):
 
 
 def _s2_zorder(sf_dir: str):
-    """s2_cells ⊕ zorder_encode ⊕ dbscan — all full per-event
-    encodings (one row per event_id), so one joined driver row checks
-    every column of all three ops.  Merged in round 4 to free window
-    slots for zonal_stats (ordering contract); dbscan (exact grid
-    DBSCAN, recursive-CTE oracle) added in the round-4 third wave."""
-    from tilemaker_ray.ops import dbscan, geospatial, s2ops
+    """s2_cells ⊕ zorder_encode — both full per-event encodings (one
+    row per event_id), so one joined driver row checks every column of
+    both ops."""
+    from tilemaker_ray.ops import geospatial, s2ops
 
     a = s2ops.q_s2_cells(sf_dir)
     b = geospatial.q_zorder_encode(sf_dir)
-    c = dbscan.q_dbscan(sf_dir)
-    return (a.merge(b, on="event_id").merge(c, on="event_id")
+    return (a.merge(b, on="event_id")
              .sort_values("event_id").reset_index(drop=True))
 
 
@@ -148,8 +140,7 @@ def _raster_cells_runs(sf_dir: str):
     """rasterize ∪ raster_runs, tagged by method — a cell is a
     degenerate run (x0 = x1 = cell_x), so the two raster→vector stages
     share one union schema (method, cell_y, x0, x1, n, sum_val); run
-    rows carry n = run length and sum_val = 0.  Merged in round 4 to
-    free a window slot for pii_redact."""
+    rows carry n = run length and sum_val = 0."""
     import pandas as pd
 
     from tilemaker_ray.ops import raster
@@ -185,60 +176,6 @@ def _content_samples(sf_dir: str):
     return pd.concat([a, b, c, d], ignore_index=True)
 
 
-def _page_hygiene(sf_dir: str):
-    """url_canonicalize ⊕ html_extract ⊕ link_stats ⊕ robots_filter ⊕
-    frontier_schedule — all per-page
-    (one row per url) crawl-hygiene signals.  The rich-HTML table is
-    generated with the SAME url key space as the default pages table
-    (sources/pages.py generate_rich_block), so the per-url ops join 1:1
-    on url and one driver row checks every column of all five.
-    frontier_schedule's host column is dropped here (url_canonicalize
-    already carries one); its own tests cover it."""
-    from tilemaker_ray.ops import web
-
-    a = web.q_url_canonicalize(sf_dir)
-    b = web.q_html_extract(sf_dir)
-    c = web.q_link_stats(sf_dir)
-    d = web.q_robots_filter(sf_dir)
-    e = web.q_frontier_schedule(sf_dir)[
-        ["url", "priority", "slot", "fetch_order"]]
-    return (a.merge(b, on="url").merge(c, on="url").merge(d, on="url")
-             .merge(e, on="url")
-             .sort_values("url").reset_index(drop=True))
-
-
-def _domain_rollups(sf_dir: str):
-    """domain_stats ⊕ anchor_stats — both roll up to the same
-    registrable-domain grain (every site both hosts pages and receives
-    anchors in the synthetic crawl, so the inner join keeps all 997
-    domains; and both sides of the driver compare join identically
-    regardless)."""
-    from tilemaker_ray.ops import web
-
-    a = web.q_domain_stats(sf_dir)
-    b = web.q_anchor_stats(sf_dir)
-    return (a.merge(b, on="domain")
-             .sort_values("domain").reset_index(drop=True))
-
-
-def _dsir_select(sf_dir: str):
-    from tilemaker_ray.ops.dsir import q_dsir_select
-
-    return q_dsir_select(sf_dir)
-
-
-def _nb_classify(sf_dir: str):
-    from tilemaker_ray.ops.classify import q_nb_classify
-
-    return q_nb_classify(sf_dir)
-
-
-def _clean_corpus(sf_dir: str):
-    from tilemaker_ray.pipelines.cleanse import q_clean_corpus
-
-    return q_clean_corpus(sf_dir)
-
-
 def _bpe_merges(sf_dir: str):
     from tilemaker_ray.ops.bpe import q_bpe_merges
 
@@ -257,28 +194,10 @@ def _cosine_topk_rerank(sf_dir: str):
              .sort_values(["query_id", "rank"]).reset_index(drop=True))
 
 
-def _export_shards(sf_dir: str):
-    from tilemaker_ray.pipelines.export import q_export_shards
-
-    return q_export_shards(sf_dir)
-
-
-def _hll_distinct_urls(sf_dir: str):
-    from tilemaker_ray.ops.sketch import q_hll_distinct_urls
-
-    return q_hll_distinct_urls(sf_dir)
-
-
 def _pq_topk(sf_dir: str):
     from tilemaker_ray.ops.pq import q_pq_topk
 
     return q_pq_topk(sf_dir)
-
-
-def _semdedup(sf_dir: str):
-    from tilemaker_ray.ops.semdedup import q_semdedup
-
-    return q_semdedup(sf_dir)
 
 
 def _bitext_mine(sf_dir: str):
@@ -407,33 +326,27 @@ def _osm_monaco_omt_tiles(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """ORDERING CONTRACT: the driver's correctness window checks entries
-    in dict order and has historically covered only a prefix (50 of 64
-    in round 3), so every oracled query MUST precede every rows-only
-    one.  All 50 oracled entries fill the window exactly; to fit 73
-    oracled ops into those 50 slots, same-grain ops share a merged row
-    (see the merged-driver-rows wrappers above):
-    quality_score carries repetition_score + langid + dup_span_chars +
-    gopher_rules + badwords, fingerprint carries simhash + the winnowing set
-    summary (count + bit_xor), token_count carries normalize_text (and
-    the BPE variant) + lm_bits + lm_tercile + seq_pack (packing
-    positions via distributed prefix sum), hash_sample carries stratified_sample +
-    weighted_sample + lang_balance, url_canonicalize carries
-    html_extract + link_stats + robots_filter + frontier_schedule
-    (same per-url grain — the rich-HTML
-    table shares the pages table's url key space by design),
-    domain_stats carries anchor_stats (same per-domain grain), s2_cells
-    carries zorder_encode (same per-event grain), rasterize carries
-    raster_runs (tagged union — a cell is a length-1 run); hex_bin is
-    covered by hex_kring's `n` column.  Rows-only pipelines
+    """ORDERING CONTRACT: the driver checks entries in dict order and
+    may cover only a prefix of them, so every oracled entry MUST
+    precede every rows-only one.  Same-grain ops share a merged row
+    (see the merged-driver-rows wrappers above): quality_score carries
+    repetition_score + langid + dup_span_chars + gopher_rules +
+    badwords, fingerprint carries simhash + the winnowing set summary
+    (count + bit_xor), token_count carries normalize_text (and the BPE
+    variant) + lm_bits + lm_tercile + seq_pack (packing positions via
+    distributed prefix sum), hash_sample carries stratified_sample +
+    weighted_sample + lang_balance, cosine_topk carries rerank_topk,
+    s2_cells carries zorder_encode (same per-event grain), rasterize
+    carries raster_runs (tagged union — a cell is a length-1 run);
+    hex_bin is covered by hex_kring's `n` column.  Rows-only pipelines
     (approximate-by-construction, iterative, codec-bound, or MVT-blob
     outputs gated by golden fixtures) come last."""
     from tilemaker_ray.ops import (dedup, geospatial, hex, raster,
                                    relational, s2ops, sampling, similarity,
-                                   sketch, text, web)
+                                   text, web)
 
     return {
-        # --- oracled (50 entries; every one has an oracle_sql row) ---
+        # --- oracled (44 entries; every one has an oracle_sql row) ---
         # flagship engine path with an exact SQL oracle (points slice:
         # extract actors → tile assign → pk shuffle → O3 sort +
         # feature_limit + combine_points assembly; VERDICT r2 #6).
@@ -496,9 +409,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "top_terms": text.q_top_terms,
         "tfidf_top_term": text.q_tfidf_top_term,
         "lang_vocab": text.q_lang_vocab,
-        # web-crawl rollup over the input-hint pages table (⊕ incoming
-        # anchor-text aggregation per target host — same domain grain)
-        "domain_stats": _domain_rollups,
         # dedup family
         "dedup_exact": dedup.q_dedup_exact,
         "dedup_keep_first": dedup.q_dedup_keep_first,
@@ -508,21 +418,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # similarity search
         "cosine_topk": _cosine_topk_rerank,
         "cosine_dup_pairs": similarity.q_cosine_dup_pairs,
-        # exact sketch→verify pipelines: CMS heavy hitters and the
-        # bloom-accelerated semi-join both produce exact results
-        "cms_heavy_hitters": sketch.q_cms_heavy_hitters,
-        "bloom_semi_join": sketch.q_bloom_semi_join,
         # benchmark decontamination over the documents table
         "decontaminate": text.q_decontaminate,
-        # crawl hygiene over the input-hint pages table: canonical URL
-        # forms (⊕ HTML main-content extraction ⊕ per-page outlink
-        # stats ⊕ robots-rule admission — same per-url grain, one
-        # merged row) and the deterministic per-domain page cap
-        "url_canonicalize": _page_hygiene,
-        "domain_cap": web.q_domain_cap,
-        # PII scrub (emails/phones/IPv4) over the deterministic
-        # contact-pages variant: per-class counts + redacted text
-        "pii_redact": web.q_pii_redact,
         # --- rows-only (no oracle by construction) ---
         # decontamination SCALE path (GPT-3/PaLM token-aligned n-gram
         # hash join — probe-count-independent; collision-exact by gram
@@ -539,38 +436,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # boundaries; not SQL-expressible — distributed-vs-local
         # parity + shift-resistance property-tested)
         "cdc_chunk_stats": dedup.q_cdc_chunk_stats,
-        # NB quality classifier (CCNet/WebText recipe: curated pages
-        # vs raw documents; log-space float sums → no SQL oracle;
-        # bit-exact distributed-vs-local parity + accuracy tested)
-        "nb_classify": _nb_classify,
-        # end-to-end corpus cleaning (the web-text flagship twin:
-        # dedup keep-first + Gopher rules + unigram-LM cut + langid →
-        # partitioned parquet with resume manifest; kept set proven
-        # equal to the oracled component ops in tests/test_cleanse.py)
-        "clean_corpus": _clean_corpus,
-        # DSIR importance resampling (hashed unigram+bigram density
-        # ratio + deterministic Gumbel-top-k; float log-sums → no SQL
-        # oracle; shared-kernel parity + margin + exact-selection
-        # tests)
-        "dsir_select": _dsir_select,
         # crawl-snapshot delta (CDX-style revisit dedup): per-url
         # lifecycle status across two crawls by content hash; the
         # FULL-OUTER-JOIN SQL oracle runs in tests (window is full)
         "crawl_delta": web.q_crawl_delta,
-        # mergeable KLL-style quantile sketch (approximate by
-        # construction; rank-error bound asserted vs the exact
-        # quantile op in tests)
-        "quantile_sketch": sketch.q_quantile_sketch,
         # distributed BPE tokenizer training (iterative algorithm — no
         # SQL oracle; bit-identical to the pure-Python reference
         # trainer by test)
         "bpe_merges": _bpe_merges,
-        # tokenize-and-pack export (the pretraining last mile): BPE
-        # ids → distributed prefix sum → fixed-length blocks →
-        # resumable parquet shards; per-shard integer sum/xor pins
-        # every token id (stream parity + resume byte-identity
-        # test-asserted in tests/test_export.py)
-        "export_shards": _export_shards,
         # full-data distributed Lloyd k-means training (iterative — no
         # SQL oracle; parity with a local Lloyd run test-asserted)
         "kmeans_train": similarity.q_kmeans_train,
@@ -591,11 +464,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # shortlist — approximate by construction (reranked recall@10
         # = 1.0 vs the oracled brute force is test-asserted)
         "pq_topk": _pq_topk,
-        # SemDeDup (Abbas et al. 2023): cluster-then-greedy semantic
-        # dedup — approximate by construction (cross-cluster pairs are
-        # invisible, the paper's trade-off); exact parity vs a
-        # single-process reference run is test-asserted
-        "semdedup": _semdedup,
         # margin-based bitext mining (Artetxe & Schwenk ratio margin,
         # the LASER/CCMatrix parallel-pair stage): float margins ->
         # rows-only; 100% planted-pair recall/precision test-asserted
@@ -603,13 +471,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # distributed PCA over the embedding column (Gram-partial
         # shuffle + driver eigh; local-numpy parity-tested)
         "embedding_pca": similarity.q_embedding_pca,
-        # domain ranking: weighted PageRank over the host link graph
-        # (the Common-Crawl host-centrality artifact crawl curation
-        # consumes; float power iteration → rows-only, parity-tested)
-        "domain_pagerank": web.q_domain_pagerank,
-        # mergeable HLL cardinality sketch (approximate by
-        # construction; 3-sigma error bound asserted in tests)
-        "hll_distinct_urls": _hll_distinct_urls,
         # multimodal plumbing (real BMP/PGM/PPM/PNG, WAV-PCM, raw-video
         # codecs; jpeg/webp/mp3/h264 stubbed at marked swap-in points;
         # schema/actor wiring real — rows-only)
@@ -659,50 +520,9 @@ def oracle_sql() -> dict[str, str]:
     # the flagship-points oracle reads the synthetic pages parquet: the
     # driver compares at sf0.01 ⇒ 20k rows; pages_path materializes (or
     # reuses) the deterministic table and returns its directory
-    from tilemaker_ray.ops.web import (domain_cap_oracle_sql,
-                                       domain_stats_oracle_sql,
-                                       html_extract_oracle_sql,
-                                       link_stats_oracle_sql,
-                                       pii_redact_oracle_sql,
-                                       url_canonicalize_oracle_sql)
     from tilemaker_ray.pipelines.flagship import flagship_points_oracle_sql
-    from tilemaker_ray.sources.pages import (pages_path, pii_pages_path,
-                                             rich_pages_path)
-    from tilemaker_ray.ops.web import anchor_stats_oracle_sql
+    from tilemaker_ray.sources.pages import pages_path
     out["flagship_point_counts"] = flagship_points_oracle_sql(pages_path(20_000))
-    # merged per-domain row (see _domain_rollups)
-    dst = domain_stats_oracle_sql(pages_path(20_000))
-    anc = anchor_stats_oracle_sql(rich_pages_path(20_000))
-    out["domain_stats"] = f"""
-        SELECT d.domain, d.n_pages, d.n_langs, d.last_crawl,
-               a.n_inlinks, a.n_src_hosts, a.n_anchor_tokens
-        FROM ({dst}) d JOIN ({anc}) a ON d.domain = a.domain
-    """
-    # merged per-url crawl-hygiene row (see _page_hygiene): the three
-    # per-page oracles join 1:1 on url (shared key space by design)
-    from tilemaker_ray.ops.web import (frontier_schedule_oracle_sql,
-                                       robots_filter_oracle_sql)
-    uc = url_canonicalize_oracle_sql(pages_path(20_000))
-    he = html_extract_oracle_sql(rich_pages_path(20_000))
-    ls = link_stats_oracle_sql(rich_pages_path(20_000))
-    rb = robots_filter_oracle_sql(pages_path(20_000))
-    fs = frontier_schedule_oracle_sql(pages_path(20_000))
-    out["url_canonicalize"] = f"""
-        SELECT u.url, u.canonical_url, u.host,
-               h.main_text, h.content_chars, h.html_chars,
-               l.n_links, l.n_internal, l.n_external, l.n_ext_hosts,
-               r.robots_allowed, r.robots_rule,
-               f.priority, f.slot, f.fetch_order
-        FROM ({uc}) u JOIN ({he}) h ON u.url = h.url
-                      JOIN ({ls}) l ON u.url = l.url
-                      JOIN ({rb}) r ON u.url = r.url
-                      JOIN ({fs}) f ON u.url = f.url
-    """
-    out["domain_cap"] = domain_cap_oracle_sql(pages_path(20_000))
-    out["pii_redact"] = pii_redact_oracle_sql(pii_pages_path(20_000))
-    from tilemaker_ray.ops import sketch
-    out["cms_heavy_hitters"] = sketch.cms_heavy_hitters_oracle_sql()
-    out["bloom_semi_join"] = sketch.bloom_semi_join_oracle_sql()
 
     # merged driver rows (see the wrappers above): compose the
     # constituent oracles with the same doc_id join / tagged union the
@@ -735,22 +555,17 @@ def oracle_sql() -> dict[str, str]:
     t, n = out.pop("token_count"), out.pop("normalize_text")
     lm, lt = out.pop("lm_bits"), out.pop("lm_tercile")
     from tilemaker_ray.ops.text import seq_pack_oracle_sql
-    from tilemaker_ray.pipelines.export import export_doc_spans_oracle_sql
     sp = seq_pack_oracle_sql()
-    xs = export_doc_spans_oracle_sql()
     out["token_count"] = f"""
         SELECT t.doc_id, t.n_tokens, t.n_chars, t.n_bpe_tokens,
                p.start_tok, p.end_tok, p.first_block, p.last_block,
                p.n_blocks,
-               x.exp_first_block, x.exp_last_block, x.exp_shard_first,
-               x.exp_shard_last, x.exp_tok_sum,
                l.lm_bits, lt.lm_tercile,
                n.clean_text, n.n_tokens AS n_clean_tokens
         FROM ({t}) t JOIN ({n}) n ON t.doc_id = n.doc_id
                      JOIN ({lm}) l ON t.doc_id = l.doc_id
                      JOIN ({lt}) lt ON t.doc_id = lt.doc_id
                      JOIN ({sp}) p ON t.doc_id = p.doc_id
-                     JOIN ({xs}) x ON t.doc_id = x.doc_id
     """
     from tilemaker_ray.ops.pq import rerank_topk_oracle_sql
     ct = out.pop("cosine_topk")
@@ -760,13 +575,10 @@ def oracle_sql() -> dict[str, str]:
           ON c.query_id = r.query_id AND c.rank = r.rank
         ORDER BY c.query_id, c.rank
     """
-    from tilemaker_ray.ops.dbscan import DBSCAN_ORACLE
     s2c, zo = out.pop("s2_cells"), out.pop("zorder_encode")
     out["s2_cells"] = f"""
-        SELECT s.event_id, s.token12, s.token30, z.z_order,
-               d.n_nbrs, d.is_core, d.cluster_id
+        SELECT s.event_id, s.token12, s.token30, z.z_order
         FROM ({s2c}) s JOIN ({zo}) z ON s.event_id = z.event_id
-                       JOIN ({DBSCAN_ORACLE}) d ON s.event_id = d.event_id
     """
     ra, ru = out.pop("rasterize"), out.pop("raster_runs")
     out["rasterize"] = f"""

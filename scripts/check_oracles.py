@@ -8,6 +8,7 @@ comparison (sorted by all columns). Usage:
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -15,7 +16,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
@@ -61,10 +62,7 @@ def main():
             print(f"FAIL {name}: query raised {type(ex).__name__}: {ex}")
             n_fail += 1
             continue
-        df = res.to_pandas() if hasattr(res, "to_pandas") else (
-            res.to_pandas() if hasattr(res, "to_pandas") else res)
-        if not isinstance(df, pd.DataFrame):
-            df = df.to_pandas()
+        df = res if isinstance(res, pd.DataFrame) else res.to_pandas()
         dt = time.time() - t0
         if name not in oracles:
             print(f"ok   {name}: {len(df)} rows (rows-only) [{dt:.1f}s]")

@@ -27,7 +27,7 @@ def build():
     from tilemaker_ray.profile import extract_text
     from tilemaker_ray.sources.pages import generate_block
     from tilemaker_ray.stages.extract import PageFeatureExtractor
-    from tilemaker_ray.stages.tiles import LOWZOOM, assign_tiles_batch
+    from tilemaker_ray.stages.tiles import assign_tiles_batch
 
     os.makedirs(GOLDEN, exist_ok=True)
     pages = generate_block(42, 0, N_PAGES)
@@ -41,8 +41,7 @@ def build():
     # F4.1 — tile assignments per feature
     feats = PageFeatureExtractor()(pages)
     assigned = assign_tiles_batch(feats).to_pandas()
-    main = assigned[assigned.z6x != LOWZOOM]
-    ta = (main[["url", "feature_id", "layer", "tile_x", "tile_y", "large"]]
+    ta = (assigned[["url", "feature_id", "layer", "tile_x", "tile_y", "large"]]
           .sort_values(["url", "feature_id", "tile_x", "tile_y"])
           .reset_index(drop=True))
     ta.to_parquet(os.path.join(GOLDEN, "expected_tile_assignments.parquet"))

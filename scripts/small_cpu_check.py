@@ -2,20 +2,26 @@
 give the same tiles as the in-process tile chain (pipelines/chain.py
 tiles_local) over the same pages.
 
+The input is the synthetic pages parquet, or the same pages written to
+a .warc.gz. A WARC build derives text and lang from html
+(flagship.derive_pages), so its reference runs the same derivation
+in process over the parquet pages.
+
 The extractor actor pool is sized from the CPU count; a pool that holds
 every CPU leaves none for the read, geometry and exchange tasks, and the
 build waits forever.
 
-Run:  python scripts/small_cpu_check.py <num_cpus> [n_pages]
-Prints "SMALL CPU OK cpus=<n> tiles=<k>" on success. Invoked as a
-subprocess under a timeout by tests/test_small_cpu.py (the pytest
-session owns its own 4-CPU Ray).
+Run:  python scripts/small_cpu_check.py <num_cpus> [n_pages] [parquet|warc]
+Prints "SMALL CPU OK cpus=<n> input=<kind> tiles=<k>" on success.
+Invoked as a subprocess under a timeout by tests/test_small_cpu.py (the
+pytest session owns its own 4-CPU Ray).
 """
 from __future__ import annotations
 
 import hashlib
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -36,6 +42,10 @@ def frame_rows(df):
 def main() -> int:
     num_cpus = int(sys.argv[1])
     n_pages = int(sys.argv[2]) if len(sys.argv) > 2 else 500
+    kind = sys.argv[3] if len(sys.argv) > 3 else "parquet"
+    if kind not in ("parquet", "warc"):
+        print(f"FAIL: unknown input kind {kind!r}")
+        return 2
 
     import pyarrow.parquet as pq
     import ray
@@ -43,31 +53,40 @@ def main() -> int:
 
     from tilemaker_ray.config import default_config
     from tilemaker_ray.pipelines.chain import tiles_local
-    from tilemaker_ray.pipelines.flagship import tile_dataset
+    from tilemaker_ray.pipelines.flagship import derive_pages, tile_dataset
     from tilemaker_ray.sources.pages import pages_path
+    from tilemaker_ray.sources.warc import write_warc
     from tilemaker_ray.stages.extract import PageFeatureExtractor
 
     config = default_config()
     pages = pages_path(n_pages)
+    raw = pq.read_table(pages)
+    table = (derive_pages(raw.select(["url", "warc_ts", "html"]))
+             if kind == "warc" else raw)
     feats = PageFeatureExtractor(known_layers={l.name for l in config.layers})(
-        pq.read_table(pages, columns=["url", "html", "text", "lang"]))
+        table.select(["url", "html", "text", "lang"]))
     local = tiles_local(feats, config)
     expect = digest(frame_rows(local))
 
-    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
-             logging_level="ERROR")
-    try:
-        DataContext.get_current().enable_progress_bars = False
-        got = tile_dataset(pages).to_pandas()
-    finally:
-        ray.shutdown()
+    with tempfile.TemporaryDirectory() as tmp:
+        src = pages
+        if kind == "warc":
+            src = os.path.join(tmp, "crawl.warc.gz")
+            write_warc(raw, src)
+        ray.init(address="local", num_cpus=num_cpus,
+                 include_dashboard=False, logging_level="ERROR")
+        try:
+            DataContext.get_current().enable_progress_bars = False
+            got = tile_dataset(src).to_pandas()
+        finally:
+            ray.shutdown()
     if got.duplicated(subset=["zoom", "tile_x", "tile_y"]).any():
         print("FAIL: duplicate (zoom, x, y)")
         return 1
     if digest(frame_rows(got)) != expect:
         print(f"FAIL: digest mismatch ({len(got)} tiles vs {len(local)})")
         return 1
-    print(f"SMALL CPU OK cpus={num_cpus} tiles={len(got)}")
+    print(f"SMALL CPU OK cpus={num_cpus} input={kind} tiles={len(got)}")
     return 0
 
 

@@ -30,11 +30,10 @@ class TestGolden:
 
     def test_tile_assignments(self, pages):
         from tilemaker_ray.stages.extract import PageFeatureExtractor
-        from tilemaker_ray.stages.tiles import LOWZOOM, assign_tiles_batch
+        from tilemaker_ray.stages.tiles import assign_tiles_batch
         exp = pd.read_parquet(os.path.join(GOLDEN, "expected_tile_assignments.parquet"))
         assigned = assign_tiles_batch(PageFeatureExtractor()(pages)).to_pandas()
-        main = assigned[assigned.z6x != LOWZOOM]
-        got = (main[["url", "feature_id", "layer", "tile_x", "tile_y", "large"]]
+        got = (assigned[["url", "feature_id", "layer", "tile_x", "tile_y", "large"]]
                .sort_values(["url", "feature_id", "tile_x", "tile_y"])
                .reset_index(drop=True))
         pd.testing.assert_frame_equal(got, exp, check_dtype=False)

@@ -13,7 +13,7 @@ from tilemaker_ray.pipelines.chain import tiles_local
 from tilemaker_ray.profile import WebProfile, extract_text, hash_url
 from tilemaker_ray.sources.pages import generate_block, pages_path
 from tilemaker_ray.stages.extract import PageFeatureExtractor
-from tilemaker_ray.stages.tiles import LOWZOOM, assign_tiles_batch
+from tilemaker_ray.stages.tiles import assign_tiles_batch
 
 
 def uncompressed(config=None):
@@ -78,21 +78,14 @@ class TestAssign:
     def test_point_assignment(self, features):
         out = assign_tiles_batch(features)
         df = out.to_pandas()
-        pts = df[(df.geom_type == gc.POINT_) & (df.z6x != LOWZOOM)]
+        pts = df[df.geom_type == gc.POINT_]
         expect_x = tm.lon2tilex(pts.lon.to_numpy(), 14)
         np.testing.assert_array_equal(pts.tile_x.to_numpy(), expect_x)
         np.testing.assert_array_equal(pts.z6x.to_numpy(), expect_x >> np.uint32(8))
 
-    def test_lowzoom_rows(self, features):
-        df = assign_tiles_batch(features).to_pandas()
-        low = df[df.z6x == LOWZOOM]
-        assert (low.min_zoom <= 5).all()
-        # every min_zoom<=5 feature has at least one lowzoom row
-        want = df[(df.min_zoom <= 5) & (df.z6x != LOWZOOM)].feature_id.unique()
-        assert set(want) == set(low.feature_id.unique())
-
     def test_large_feature_routing(self):
-        # a polygon spanning many z14 tiles -> large rows, one per z6 tile
+        # a polygon spanning many z14 tiles -> one large row carrying
+        # its base-tile range
         ring = np.array([[0.0, 0.0], [0.0, 3.0], [3.0, 3.0], [3.0, 0.0], [0.0, 0.0]])
         t = pa.table({
             "url": ["u"], "feature_id": pa.array([1], pa.uint64()),
@@ -102,10 +95,9 @@ class TestAssign:
             "geom": [gc.pack_mp([[ring]])],
         })
         df = assign_tiles_batch(t).to_pandas()
-        assert df.large.all()
-        # 3 degrees at z6 (5.6 deg/tile) -> 1-2 z6 tiles per axis
-        assert 1 <= len(df) <= 9
+        assert len(df) == 1 and df.large.all()
         assert (df.max_tx - df.min_tx >= 16).all()
+        assert (df.tile_x == df.min_tx).all() and (df.tile_y == df.min_ty).all()
 
 
 class TestRenderE2E:

@@ -1,5 +1,5 @@
-"""The flagship build finishes on 1 and 2 CPUs, with the tiles of the
-in-process tile chain.
+"""The flagship build finishes on 1 and 2 CPUs, from parquet pages and
+from a WARC crawl, with the tiles of the in-process tile chain.
 
 Runs scripts/small_cpu_check.py in a SUBPROCESS under a timeout: the
 pytest session owns its own 4-CPU Ray, and a build that waits forever
@@ -15,15 +15,18 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("num_cpus", [1, 2])
-def test_tile_dataset_small_cpu_count(num_cpus):
+@pytest.mark.parametrize("source,num_cpus",
+                         [("parquet", 1), ("parquet", 2),
+                          ("warc", 1), ("warc", 2)],
+                         ids=["1", "2", "warc-1", "warc-2"])
+def test_tile_dataset_small_cpu_count(source, num_cpus):
     env = dict(os.environ)
     env.pop("RAY_ADDRESS", None)
     # own process group: on a timeout the Ray processes the check
     # started go down with it
     p = subprocess.Popen(
         [sys.executable, os.path.join(REPO, "scripts", "small_cpu_check.py"),
-         str(num_cpus), "500"],
+         str(num_cpus), "500", source],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
         cwd=REPO, start_new_session=True)
     try:
@@ -31,6 +34,7 @@ def test_tile_dataset_small_cpu_count(num_cpus):
     except subprocess.TimeoutExpired:
         os.killpg(p.pid, signal.SIGKILL)
         p.communicate()
-        pytest.fail(f"tile_dataset on {num_cpus} CPU(s) did not finish in 300 s")
+        pytest.fail(f"tile_dataset({source}) on {num_cpus} CPU(s) did not "
+                    "finish in 300 s")
     assert p.returncode == 0, out[-2000:] + err[-2000:]
-    assert f"SMALL CPU OK cpus={num_cpus}" in out
+    assert f"SMALL CPU OK cpus={num_cpus} input={source}" in out

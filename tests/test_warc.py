@@ -218,3 +218,24 @@ def test_resumable_run_from_warc(pages, tmp_path):
     s2 = run_resumable(warc, out)
     assert s2["tiles_written_this_run"] == 0
     assert s2["partitions_done_before"] == s1["partitions_total"]
+
+
+def test_langid_vote():
+    """The WARC path's language vote: the language whose profile
+    shares the most words wins; a tie goes to the first language in
+    sorted order; no shared word gives 'und'."""
+    from tilemaker_ray.ops.text import LangId
+
+    langs, evidence = LangId().predict([
+        "the city guide",            # en: 3
+        "die stadt und der",         # de: 4
+        "la ville et",               # fr: 3, es: 1
+        "el y ciudad la",            # es: 4, fr: 1
+        "la",                        # es: 1, fr: 1 -> es sorts first
+        "und the",                   # de: 1, en: 1 -> de sorts first
+        "nothing shared here",       # no evidence
+        "",
+        "la la la le",               # a word counts once: fr 2, es 1
+    ])
+    assert langs == ["en", "de", "fr", "es", "es", "de", "und", "und", "fr"]
+    assert evidence == [3, 4, 3, 4, 1, 1, 0, 0, 2]

@@ -37,7 +37,7 @@ def hash_tokens_u64(toks) -> "np.ndarray":
     run once per UNIQUE token (factorize + gather) — the corpus
     repeats each token hundreds of times per batch, and per-occurrence
     object hashing measured as the dominant cost of every
-    token-hashing pass (DSIR fit 15.4 -> 5.7 s at sf0.1).
+    token-hashing pass.
 
     pd.factorize encodes missing values (a null text row explodes to
     NaN) as code -1 and EXCLUDES them from the uniques, so a plain
@@ -46,9 +46,8 @@ def hash_tokens_u64(toks) -> "np.ndarray":
     all-NaN batch).  Those positions are restored to hash_array's own
     NaN hash, keeping the helper value-identical for every input.
 
-    Shared by classify._hash_tokens, dsir.ngram_buckets and the
-    decontamination GramJoin — fit/score and probe/doc pairs must hash
-    identically, so there is exactly one implementation."""
+    Used by the decontamination GramJoin — probe and doc grams must
+    hash identically, so there is exactly one implementation."""
     import numpy as np
     import pandas as pd
 

@@ -38,7 +38,7 @@ numpy parity + planted-pair recovery tests (tests/test_ops.py).
 
 The reference engine (cldellow/tilemaker) has no embedding path; this
 op belongs to the LLM-training-data half of the brief, next to
-ops/similarity.py and ops/semdedup.py.
+ops/similarity.py.
 """
 
 from __future__ import annotations

@@ -1114,8 +1114,8 @@ def components_pointer_doubling(docs: ray.data.Dataset,
     """Driver-side wrapper over components_pointer_doubling_ds —
     collects the (doc_id, label) Dataset into a sorted DataFrame for
     the query/test callers.  Pipelines that feed the labels into
-    further distributed stages (ops/dbscan.py) should use the _ds
-    variant and never bring the labels to the driver."""
+    further distributed stages should use the _ds variant and never
+    bring the labels to the driver."""
     labels, rounds = components_pointer_doubling_ds(docs, pairs)
     df = labels.to_pandas()
     df["label"] = df["label"].astype("int64")

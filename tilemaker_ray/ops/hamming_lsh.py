@@ -164,9 +164,11 @@ def verify_input_ds(fps: ray.data.Dataset, key_batch_fn, seq_col: str,
 
     Routing is a tagged-union bucket join on doc_id % _ROUTE_BUCKETS
     (the crawl_delta shape, ops/web.py): needs = distinct
-    (doc_id, vb) from the pair stream; sequences ship as packed bytes
-    (`seq_fn(raw) -> np.ndarray(seq_dtype)`, .tobytes()) only for
-    candidate docs, replicated once per verify bucket that wants them
+    (doc_id, vb) from the pair stream; every doc's sequence, packed as
+    bytes (`seq_fn(raw) -> np.ndarray(seq_dtype)`, .tobytes()), crosses
+    the routing exchange once, so that hop moves the whole fps table.
+    Only the in-bucket merge drops non-candidate docs; a candidate's
+    sequence is replicated once per verify bucket that wants it
     (bounded by the doc's pair-bucket degree, <= its dup degree)."""
     # materialize: BOTH the needs leg and the pair_tag leg consume the
     # pair stream — without this the whole band exchange executes

@@ -19,7 +19,7 @@ shuffle — only (band_key, doc_id, phash) rows do.
 
 The reference engine (cldellow/tilemaker) has no image path; this op
 belongs to the LLM-training-data half of the brief, next to
-ops/dedup.py (text) and ops/semdedup.py (embeddings).
+ops/dedup.py (text) and ops/similarity.py (embeddings).
 """
 
 from __future__ import annotations

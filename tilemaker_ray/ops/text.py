@@ -102,8 +102,7 @@ GOPHER_MIN_MEAN_LEN, GOPHER_MAX_MEAN_LEN = 3, 10   # via 3n <= L <= 10n
 
 def gopher_counts(txt: pd.Series,
                   ex: pd.Series | None = None) -> pd.DataFrame:
-    """Shared Gopher-rule kernel (used by q_gopher_rules AND the
-    cleanse pipeline, so the two can never drift): per doc, word
+    """Gopher-rule kernel behind q_gopher_rules: per doc, word
     count, hapax count, mode token frequency, and the integer-exact
     pass flag.  Vectorized: one str.split + explode + two C-level
     groupbys.  `txt` must carry a zero-based RangeIndex; pass `ex`

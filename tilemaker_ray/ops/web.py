@@ -1,13 +1,11 @@
-"""Web-table (Common-Crawl-shaped) operators over the synthetic pages
-table mandated by the input hint: (url, warc_ts, html, text, lang).
+"""Crawl-snapshot delta over the synthetic pages table (url, warc_ts,
+html, text, lang): per url, new / gone / changed / unchanged across two
+crawls, by content hash — the CDX-style revisit dedup every incremental
+crawl pipeline runs before reprocessing.
 
-`q_domain_stats` is the canonical web-crawl rollup: registrable-domain
-extraction (vectorized Arrow regex — no Python loop) followed by a
-two-level aggregation: per-batch partial over (domain, lang) → one
-small groupby over partials → per-domain fold. The domain key space is
-~O(10^8) at crawl scale but each partial batch collapses to its
-distinct (domain, lang) pairs first, so the shuffle carries partials,
-not pages (the A6 push-partials pattern).
+The incremental tile pipeline looks `crawl_delta_ds` up in this module
+at call time, so a caller can wrap it (a tracer, a test double) by
+patching the module attribute.
 """
 
 from __future__ import annotations
@@ -17,522 +15,12 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Count, Max, Sum
 
-from ..sources.pages import pages_path, rows_for_sf
-
-# named group: pyarrow extract_regex requires named capture groups;
-# RE2 (DuckDB) accepts the same syntax and numbers it group 1
-DOMAIN_RE = r"^https?://(?P<domain>[^/]+)"
-
-
-def q_domain_stats(sf_dir: str) -> pd.DataFrame:
-    """Per-domain crawl stats: page count, distinct languages seen, and
-    most recent crawl timestamp."""
-    pages = pages_path(rows_for_sf(sf_dir))
-    ds = ray.data.read_parquet(pages, columns=["url", "lang", "warc_ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        dom = pc.struct_field(pc.extract_regex(b.column("url"), DOMAIN_RE),
-                              "domain")
-        t = pa.table({"domain": dom, "lang": b.column("lang"),
-                      "warc_ts": b.column("warc_ts")})
-        df = t.to_pandas()
-        g = df.groupby(["domain", "lang"], as_index=False).agg(
-            n=("warc_ts", "size"), last_ts=("warc_ts", "max"))
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    per_dl = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby(["domain", "lang"])
-                .aggregate(Sum("n", alias_name="n"),
-                           Max("last_ts", alias_name="last_ts")))
-    out = (per_dl.groupby("domain")
-                 .aggregate(Sum("n", alias_name="n_pages"),
-                            Count(alias_name="n_langs"),
-                            Max("last_ts", alias_name="last_crawl")))
-    df = out.to_pandas().sort_values("domain").reset_index(drop=True)
-    df["n_pages"] = df["n_pages"].astype("int64")
-    df["n_langs"] = df["n_langs"].astype("int64")
-    return df[["domain", "n_pages", "n_langs", "last_crawl"]]
-
-
-def domain_stats_oracle_sql(pages_dir: str) -> str:
-    return f"""
-        WITH p AS (
-          SELECT regexp_extract(url, '{DOMAIN_RE}', 1) AS domain,
-                 lang, warc_ts
-          FROM read_parquet('{pages_dir}/*.parquet')
-        )
-        SELECT domain,
-               count(*) AS n_pages,
-               count(DISTINCT lang) AS n_langs,
-               max(warc_ts) AS last_crawl
-        FROM p GROUP BY domain ORDER BY domain
-    """
-
-
-# ---------------------------------------------------------------------------
-# URL canonicalization
-# ---------------------------------------------------------------------------
-# One regex chain, applied identically by the Ray kernel (vectorized
-# pandas str.replace) and the DuckDB oracle (regexp_replace ... 'g'),
-# so canonical forms are byte-identical on both sides:
-#   1. strip the fragment
-#   2. strip utm_* / fbclid tracking params (any position), then any
-#      dangling '?' / '&'
-#   3. lowercase scheme and host; drop the scheme-default port
-#   4. strip one trailing slash from a non-root path
-# Crawl dedup by canonical URL is the first stage of every web corpus
-# build; the reference has no URL path (geospatial engine) — this op
-# comes from the web-table input hint (BASELINE.json input_hint).
-
-_FRAGMENT_RE = r"#.*$"
-_TRACKING_RE = r"([?&])((utm_[A-Za-z0-9_]*|fbclid)=[^&#]*(&|$))+"
-_DANGLING_RE = r"[?&]+$"
-_SCHEME_RE = r"^([A-Za-z][A-Za-z0-9+.-]*)://"
-_HOSTPORT_RE = r"^[A-Za-z][A-Za-z0-9+.-]*://([^/?#]*)"
-_REST_RE = r"^[A-Za-z][A-Za-z0-9+.-]*://[^/?#]*"
-_TRAILSLASH_RE = r"^(/[^?#]*[^/?#])/($|\?)"
-
-_DEFAULT_PORTS = {"http": ":80", "https": ":443"}
-
-
-def canonicalize_urls(urls: pd.Series) -> pd.Series:
-    """Vectorized canonical form of a Series of URLs (rules above)."""
-    u = urls.str.replace(_FRAGMENT_RE, "", regex=True)
-    u = u.str.replace(_TRACKING_RE, r"\1", regex=True)
-    u = u.str.replace(_DANGLING_RE, "", regex=True)
-    scheme = u.str.extract(_SCHEME_RE, expand=False).str.lower()
-    host = u.str.extract(_HOSTPORT_RE, expand=False).str.lower()
-    for sch, port in _DEFAULT_PORTS.items():
-        host = host.mask(scheme.eq(sch) & host.str.endswith(port),
-                         host.str[:-len(port)])
-    rest = u.str.replace(_REST_RE, "", regex=True)
-    rest = rest.str.replace(_TRAILSLASH_RE, r"\1\2", regex=True)
-    rest = rest.mask(rest.eq("") | rest.str.startswith("?"), "/" + rest)
-    return scheme + "://" + host + rest
-
-
-def q_url_canonicalize(sf_dir: str) -> pd.DataFrame:
-    """(url, canonical_url, host) per page — plain streaming
-    map_batches, no shuffle; the canonical column is what a crawl-dedup
-    stage groups on (see q_domain_cap for the bounded per-key pattern)."""
-    pages = pages_path(rows_for_sf(sf_dir))
-    ds = ray.data.read_parquet(pages, columns=["url"])
-
-    def canon(b: pa.Table) -> pa.Table:
-        u = b.column("url").to_pandas()
-        c = canonicalize_urls(u)
-        host = c.str.extract(_HOSTPORT_RE, expand=False)
-        return pa.table({"url": pa.array(u), "canonical_url": pa.array(c),
-                         "host": pa.array(host)})
-
-    df = ds.map_batches(canon, batch_format="pyarrow").to_pandas()
-    return df.sort_values("url").reset_index(drop=True)
-
-
-def url_canonicalize_oracle_sql(pages_dir: str) -> str:
-    return f"""
-        WITH s0 AS (
-          SELECT url,
-                 regexp_replace(regexp_replace(regexp_replace(url,
-                     '{_FRAGMENT_RE}', ''),
-                     '{_TRACKING_RE}', '\\1', 'g'),
-                     '{_DANGLING_RE}', '') AS u
-          FROM read_parquet('{pages_dir}/*.parquet')
-        ), s1 AS (
-          SELECT url, u,
-                 lower(regexp_extract(u, '{_SCHEME_RE}', 1)) AS scheme,
-                 lower(regexp_extract(u, '{_HOSTPORT_RE}', 1)) AS hostport,
-                 regexp_replace(regexp_replace(u, '{_REST_RE}', ''),
-                                '{_TRAILSLASH_RE}', '\\1\\2') AS rest
-          FROM s0
-        ), s2 AS (
-          SELECT url, scheme,
-                 CASE WHEN scheme = 'http'
-                        THEN regexp_replace(hostport, ':80$', '')
-                      WHEN scheme = 'https'
-                        THEN regexp_replace(hostport, ':443$', '')
-                      ELSE hostport END AS host,
-                 CASE WHEN rest = '' OR rest LIKE '?%'
-                        THEN '/' || rest ELSE rest END AS rest
-          FROM s1
-        )
-        SELECT url, scheme || '://' || host || rest AS canonical_url,
-               host
-        FROM s2 ORDER BY url
-    """
-
-
-# ---------------------------------------------------------------------------
-# Per-domain cap sampling
-# ---------------------------------------------------------------------------
-
-DOMAIN_CAP = 5
-
-
-def _domain_cap_partial(b: pa.Table, cap: int) -> pa.Table:
-    """Per-batch combiner: keep the cap smallest (md5, url) rows per
-    domain, so the shuffle carries at most cap × domains-per-batch
-    rows — never the full page list of a hot domain."""
-    df = pd.DataFrame({"url": b.column("url").to_pandas()})
-    df["domain"] = df["url"].str.extract(DOMAIN_RE, expand=False)
-    df["h"] = [hashlib.md5(u.encode()).hexdigest() for u in df["url"]]
-    df = df.sort_values(["domain", "h", "url"])
-    return pa.Table.from_pandas(df.groupby("domain").head(cap),
-                                preserve_index=False)
-
-
-def q_domain_cap(sf_dir: str, cap: int = DOMAIN_CAP) -> pd.DataFrame:
-    """Keep at most `cap` pages per domain, deterministically (smallest
-    md5(url) first) — the per-host quota every crawl corpus applies so
-    one giant domain can't dominate the training mix.
-
-    Scale shape: _domain_cap_partial combines BEFORE the shuffle; the
-    final map_groups re-applies the cap per domain.  Deterministic by
-    content (md5), so retries / resumed runs select the same pages."""
-    pages = pages_path(rows_for_sf(sf_dir))
-    ds = ray.data.read_parquet(pages, columns=["url"])
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["h", "url"]).head(cap)
-        return g[["domain", "url"]]
-
-    out = (ds.map_batches(lambda b: _domain_cap_partial(b, cap),
-                          batch_format="pyarrow")
-             .groupby("domain").map_groups(final))
-    df = out.to_pandas().sort_values(["domain", "url"]).reset_index(drop=True)
-    return df[["domain", "url"]]
-
-
-def domain_cap_oracle_sql(pages_dir: str, cap: int = DOMAIN_CAP) -> str:
-    return f"""
-        WITH p AS (
-          SELECT regexp_extract(url, '{DOMAIN_RE}', 1) AS domain, url,
-                 row_number() OVER (
-                   PARTITION BY regexp_extract(url, '{DOMAIN_RE}', 1)
-                   ORDER BY md5(url), url) AS rk
-          FROM read_parquet('{pages_dir}/*.parquet')
-        )
-        SELECT domain, url FROM p WHERE rk <= {cap}
-        ORDER BY domain, url
-    """
-
-
-# --- PII redaction ----------------------------------------------------------
-# One pattern table shared verbatim by the Ray kernel (Python re) and
-# the DuckDB oracle (RE2): patterns are restricted to syntax on which
-# the two engines agree (character classes, bounded repeats — no
-# backrefs, no lookaround).  Redaction applies the replacements in
-# PII_PATTERNS order, so a replaced token can never re-match a later
-# pattern differently on the two sides.
-
-PII_PATTERNS = (
-    ("email", r"[a-z0-9._]+@[a-z0-9.]+", "<EMAIL>"),
-    ("phone", r"555-[0-9]{4}", "<PHONE>"),
-    ("ip", r"10\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}", "<IP>"),
-)
-
-
-def q_pii_redact(sf_dir: str) -> pd.DataFrame:
-    """PII scrub over the contact-pages table: per page, the count of
-    each PII class found in the ORIGINAL text plus the fully redacted
-    text.  Counts are per-class occurrences in the ORIGINAL text,
-    counted independently — when one class nests inside another (an
-    email whose domain is an IP), the nested match is counted but the
-    outer replacement consumes it, so counts can exceed placeholder
-    occurrences; kernel and oracle agree on both conventions by
-    construction (same patterns, same order).  Regexes compile once per actor (ST1 pattern); counting and
-    replacement are vectorized pandas str kernels — no Python row
-    loop.  Embarrassingly parallel: zero shuffle, streams at any
-    scale.  The training-data use is the cleaned `redacted` column;
-    the counts feed a removal-stats rollup."""
-    import re
-
-    from ..sources.pages import pii_pages_path
-    pages = pii_pages_path(rows_for_sf(sf_dir))
-    ds = ray.data.read_parquet(pages)
-
-    class Redactor:
-        def __init__(self):
-            self.pats = [(name, re.compile(rx), repl)
-                         for name, rx, repl in PII_PATTERNS]
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            txt = b.column("text").to_pandas()
-            cols = {"url": b.column("url")}
-            red = txt
-            for name, rx, repl in self.pats:
-                cols[f"n_{name}s"] = pa.array(
-                    txt.str.count(rx).astype("int64"))
-                red = red.str.replace(rx, repl, regex=True)
-            cols["redacted"] = pa.array(red)
-            return pa.table(cols)
-
-    df = ds.map_batches(Redactor, batch_format="pyarrow",
-                        concurrency=(1, 8)).to_pandas()
-    return df.sort_values("url").reset_index(drop=True)
-
-
-def pii_redact_oracle_sql(pages_dir: str) -> str:
-    counts = ", ".join(
-        f"CAST(len(regexp_extract_all(text, '{rx}')) AS BIGINT) AS n_{name}s"
-        for name, rx, _ in PII_PATTERNS)
-    red = "text"
-    for _, rx, repl in PII_PATTERNS:
-        red = f"regexp_replace({red}, '{rx}', '{repl}', 'g')"
-    return f"""
-        SELECT url, {counts}, {red} AS redacted
-        FROM read_parquet('{pages_dir}/*.parquet')
-        ORDER BY url
-    """
-
-
-# --- robots-style URL filtering ----------------------------------------------
-# Crawl-frontier admission: an ordered, first-match-wins rule table
-# (robots.txt semantics — most-specific allow can override a broader
-# block), broadcast to every task; evaluation is a vectorized
-# np.select over prefix/suffix tests, so admission costs O(rules)
-# string kernels per batch, never a per-row Python loop.  The rule
-# table is deterministic and synthetic (no external data) but the
-# evaluation machinery is exactly what a real robots/blocklist pass
-# runs at crawl scale.
-
-ROBOTS_RULES = (
-    # (rule_id, action, field, prefix-or-suffix literal)
-    ("r0", "allow", "path", "/page/1337"),     # whitelisted page
-    ("r1", "block", "host_suffix", "7.example"),  # spam-farm domains
-    ("r2", "block", "path", "/page/13"),       # banned path prefix
-)
-
-
-def q_robots_filter(sf_dir: str) -> pd.DataFrame:
-    """(url, robots_allowed, robots_rule) per page: the first matching
-    rule decides (default allow).  Zero shuffle."""
-    from ..sources.pages import pages_path, rows_for_sf
-    pages = pages_path(rows_for_sf(sf_dir))
-    ds = ray.data.read_parquet(pages, columns=["url"])
-
-    def admit(b: pa.Table) -> pa.Table:
-        u = b.column("url").to_pandas()
-        # fillna: a scheme-less/malformed url has no host — it must
-        # fall through to 'default' exactly like the oracle's
-        # regexp_extract('') + LIKE path, not poison np.select
-        host = u.str.extract(_HOSTPORT_RE, expand=False).fillna("")
-        path = u.str.replace(_REST_RE, "", regex=True)
-        conds, rules, allows = [], [], []
-        for rid, action, field, lit in ROBOTS_RULES:
-            if field == "path":
-                conds.append(path.str.startswith(lit).to_numpy())
-            else:
-                conds.append(host.str.endswith(lit).to_numpy())
-            rules.append(rid)
-            allows.append(np.int64(action == "allow"))
-        rule = np.select(conds, rules, default="default")
-        allowed = np.select(conds, allows, default=np.int64(1))
-        return pa.table({"url": b.column("url"),
-                         "robots_allowed": pa.array(allowed, pa.int64()),
-                         "robots_rule": pa.array(rule.astype(object),
-                                                 pa.string())})
-
-    df = ds.map_batches(admit, batch_format="pyarrow").to_pandas()
-    return df.sort_values("url").reset_index(drop=True)
-
-
-def robots_filter_oracle_sql(pages_dir: str) -> str:
-    whens_rule, whens_allow = [], []
-    for rid, action, field, lit in ROBOTS_RULES:
-        cond = (f"path LIKE '{lit}%'" if field == "path"
-                else f"host LIKE '%{lit}'")
-        whens_rule.append(f"WHEN {cond} THEN '{rid}'")
-        whens_allow.append(
-            f"WHEN {cond} THEN {1 if action == 'allow' else 0}")
-    return f"""
-        WITH p AS (
-          SELECT url,
-                 regexp_extract(url, '{_HOSTPORT_RE}', 1) AS host,
-                 regexp_replace(url, '{_REST_RE}', '') AS path
-          FROM read_parquet('{pages_dir}/*.parquet')
-        )
-        SELECT url,
-               CAST(CASE {' '.join(whens_allow)} ELSE 1 END AS BIGINT)
-                 AS robots_allowed,
-               CASE {' '.join(whens_rule)} ELSE 'default' END
-                 AS robots_rule
-        FROM p ORDER BY url
-    """
-
-
-# --- HTML main-content extraction -------------------------------------------
-# Boilerplate removal is the first transform every web-text corpus
-# applies (C4 / CCNet / trafilatura); here it is ONE ordered regex
-# chain shared verbatim by the Ray kernel (Python re over pandas) and
-# the DuckDB oracle (RE2), restricted to syntax the two engines agree
-# on: non-greedy block removal for the boilerplate containers, then a
-# global tag strip, then whitespace collapse + trim.  Pages are
-# generated on a single line, so no-DOTALL `.` semantics match.
-
-BOILERPLATE_BLOCK_RES = (
-    r"<script[^>]*>.*?</script>",
-    r"<style[^>]*>.*?</style>",
-    r"<nav[^>]*>.*?</nav>",
-    r"<header[^>]*>.*?</header>",
-    r"<footer[^>]*>.*?</footer>",
-    r"<title[^>]*>.*?</title>",
-)
-_TAG_RE = r"<[^>]*>"
-_WS_RE = r"\s+"
-
-
-def extract_main_text(html: pd.Series) -> pd.Series:
-    """Vectorized main-content extraction over a Series of HTML strings
-    (rules above).  Anchor INNER text survives (it is content); the
-    boilerplate containers and their contents do not."""
-    t = html
-    for rx in BOILERPLATE_BLOCK_RES:
-        t = t.str.replace(rx, "", regex=True)
-    t = t.str.replace(_TAG_RE, " ", regex=True)
-    t = t.str.replace(_WS_RE, " ", regex=True)
-    return t.str.strip()
-
-
-def q_html_extract(sf_dir: str,
-                   pages_dir: str | None = None) -> pd.DataFrame:
-    """(url, main_text, content_chars, html_chars) per rich-HTML page.
-    Embarrassingly parallel: one streaming map_batches, zero shuffle —
-    the canonical shape for a 100 TB crawl pass.  The kernel is the
-    same extract_main_text the unit tests exercise (vectorized pandas
-    str ops; Python's re module caches the compiled patterns
-    process-wide).  The integer char counts feed a text-density
-    removal rule (content_chars / html_chars) downstream; both are
-    exact."""
-    from ..sources.pages import rich_pages_path, rows_for_sf
-    pages = pages_dir or rich_pages_path(rows_for_sf(sf_dir))
-    ds = ray.data.read_parquet(pages)
-
-    def extract(b: pa.Table) -> pa.Table:
-        h = b.column("html").cast(pa.string()).to_pandas()
-        t = extract_main_text(h)  # ONE kernel, shared with the tests
-        return pa.table({
-            "url": b.column("url"),
-            "main_text": pa.array(t),
-            "content_chars": pa.array(t.str.len().astype("int64")),
-            "html_chars": pa.array(h.str.len().astype("int64")),
-        })
-
-    df = ds.map_batches(extract, batch_format="pyarrow").to_pandas()
-    return df.sort_values("url").reset_index(drop=True)
-
-
-def html_extract_oracle_sql(pages_dir: str) -> str:
-    red = "h"
-    for rx in BOILERPLATE_BLOCK_RES:
-        red = f"regexp_replace({red}, '{rx}', '', 'g')"
-    red = f"regexp_replace({red}, '{_TAG_RE}', ' ', 'g')"
-    red = f"trim(regexp_replace({red}, '{_WS_RE}', ' ', 'g'))"
-    return f"""
-        WITH p AS (
-          SELECT url, decode(html) AS h
-          FROM read_parquet('{pages_dir}/*.parquet')
-        ), e AS (
-          SELECT url, {red} AS main_text, h FROM p
-        )
-        SELECT url, main_text,
-               CAST(length(main_text) AS BIGINT) AS content_chars,
-               CAST(length(h) AS BIGINT) AS html_chars
-        FROM e ORDER BY url
-    """
-
-
-# --- per-page outlink stats --------------------------------------------------
-
-_HREF_RE = r'href="([^"]*)"'
-_LINK_HOST_RE = r"^https?://([^/]+)"
-
-
-def q_link_stats(sf_dir: str,
-                 pages_dir: str | None = None) -> pd.DataFrame:
-    """(url, n_links, n_internal, n_external, n_ext_hosts) per rich
-    page: total anchors, relative (same-site) links, absolute links,
-    and DISTINCT external hosts — the per-page slice of the host graph
-    q_domain_pagerank ranks.  Per-batch shape: findall → explode →
-    one in-batch groupby(url); urls are unique per row so no global
-    shuffle is needed and the stage streams."""
-    from ..sources.pages import rich_pages_path, rows_for_sf
-    pages = pages_dir or rich_pages_path(rows_for_sf(sf_dir))
-    ds = ray.data.read_parquet(pages)
-
-    def stats(b: pa.Table) -> pa.Table:
-        h = b.column("html").cast(pa.string()).to_pandas()
-        urls = b.column("url").to_pandas()
-        links = h.str.findall(_HREF_RE)
-        e = pd.DataFrame({
-            "url": urls.to_numpy().repeat(links.str.len().to_numpy()),
-            # explicit object dtype: an all-linkless batch otherwise
-            # infers float64 and breaks the .str accessor
-            "href": pd.Series([x for l in links for x in l],
-                              dtype=object)})
-        e["internal"] = e["href"].str.startswith("/")
-        e["host"] = e["href"].str.extract(_LINK_HOST_RE, expand=False)
-        # DuckDB regexp_extract yields '' (not NULL) on a no-match
-        # absolute href — mirror that so both sides count it distinct
-        e.loc[~e["internal"] & e["host"].isna(), "host"] = ""
-        g = e.groupby("url").agg(
-            n_links=("href", "size"),
-            n_internal=("internal", "sum"),
-            n_ext_hosts=("host", "nunique")).reset_index()
-        out = pd.DataFrame({"url": urls}).merge(g, on="url", how="left")
-        for c in ("n_links", "n_internal", "n_ext_hosts"):
-            out[c] = out[c].fillna(0).astype("int64")
-        out["n_external"] = out["n_links"] - out["n_internal"]
-        return pa.Table.from_pandas(
-            out[["url", "n_links", "n_internal", "n_external",
-                 "n_ext_hosts"]], preserve_index=False)
-
-    df = ds.map_batches(stats, batch_format="pyarrow").to_pandas()
-    return df.sort_values("url").reset_index(drop=True)
-
-
-def link_stats_oracle_sql(pages_dir: str) -> str:
-    return f"""
-        WITH p AS (
-          SELECT url, decode(html) AS h
-          FROM read_parquet('{pages_dir}/*.parquet')
-        ), l AS (
-          SELECT url,
-                 unnest(regexp_extract_all(h, '{_HREF_RE}', 1)) AS href
-          FROM p
-        ), c AS (
-          SELECT url,
-                 count(*) AS n_links,
-                 CAST(sum(CASE WHEN href LIKE '/%' THEN 1 ELSE 0 END)
-                      AS BIGINT) AS n_internal,
-                 count(DISTINCT CASE WHEN href NOT LIKE '/%' THEN
-                   regexp_extract(href, '{_LINK_HOST_RE}', 1) END)
-                   AS n_ext_hosts
-          FROM l GROUP BY url
-        )
-        SELECT p.url,
-               coalesce(c.n_links, 0) AS n_links,
-               coalesce(c.n_internal, 0) AS n_internal,
-               coalesce(c.n_links, 0) - coalesce(c.n_internal, 0)
-                 AS n_external,
-               coalesce(c.n_ext_hosts, 0) AS n_ext_hosts
-        FROM p LEFT JOIN c ON p.url = c.url
-        ORDER BY p.url
-    """
-
-
-# --- crawl-snapshot delta -----------------------------------------------------
-# Two crawls of the same frontier → per-url lifecycle status
-# (unchanged / changed / gone / new) by content hash — the CDX-style
-# revisit dedup every incremental crawl pipeline runs before
-# reprocessing.  Scale shape: each snapshot is hashed in its own
-# streaming pass (the shuffle carries (url, md5, side) — never page
-# bytes), the union is bucketed by a url hash and each bucket
-# resolves statuses with one in-group pandas pivot.
+# Scale shape: each snapshot is hashed in its own streaming pass (the
+# shuffle carries (url, md5, side) — never page bytes), the union is
+# bucketed by a url hash and each bucket resolves statuses with one
+# in-group pandas pivot.
 
 DELTA_BUCKETS = 1024
 
@@ -540,7 +28,7 @@ DELTA_BUCKETS = 1024
 def q_crawl_delta(sf_dir: str) -> pd.DataFrame:
     """(url, status) across the two synthetic crawl snapshots.
     Rows-only driver entry (the FULL OUTER JOIN oracle runs in
-    tests/test_ops.py instead — the driver window is full)."""
+    tests/test_ops.py instead)."""
     from ..sources.pages import (pages_path, rows_for_sf,
                                  snapshot2_pages_path)
     n = rows_for_sf(sf_dir)
@@ -615,442 +103,4 @@ def crawl_delta_oracle_sql(old_dir: str, new_dir: str) -> str:
                     ELSE 'changed' END AS status
         FROM o FULL OUTER JOIN n ON o.url = n.url
         ORDER BY url
-    """
-
-
-# --- incoming anchor-text aggregation ----------------------------------------
-# Per TARGET host: how many absolute anchors point at it, from how
-# many distinct source hosts, carrying how many anchor-text tokens —
-# the anchor corpus Common Crawl-style pipelines aggregate as an
-# off-page description / quality signal for each site.  Grain is the
-# same registrable-domain key q_domain_stats rolls up to, so the two
-# ops share one merged driver row (join on domain).
-
-_ANCHOR_RE = r'<a href="(?P<href>[^"]*)"[^>]*>(?P<atext>[^<]*)</a>'
-_TOKEN_RE = r"\S+"
-
-
-def q_anchor_stats(sf_dir: str,
-                   pages_dir: str | None = None) -> pd.DataFrame:
-    """(domain, n_inlinks, n_src_hosts, n_anchor_tokens) per target
-    host.  Scale shape mirrors q_domain_stats: per-batch parse +
-    partial aggregate over (dst, src) → one small groupby over
-    partials → per-dst fold with an exact distinct-source count — the
-    shuffle carries (dst, src) partials, never anchors."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..sources.pages import rich_pages_path, rows_for_sf
-    pages = pages_dir or rich_pages_path(rows_for_sf(sf_dir))
-    ds = ray.data.read_parquet(pages, columns=["url", "html"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        h = b.column("html").cast(pa.string()).to_pandas()
-        src = pc.struct_field(pc.extract_regex(b.column("url"), DOMAIN_RE),
-                              "domain").to_pandas()
-        m = h.str.extractall(_ANCHOR_RE)
-        rows = pd.DataFrame({
-            "src": src.to_numpy()[m.index.get_level_values(0)],
-            "href": m["href"].to_numpy(),
-            "atext": m["atext"].to_numpy()})
-        rows = rows[rows["href"].str.startswith("http")]
-        rows["dst"] = rows["href"].str.extract(_LINK_HOST_RE, expand=False)
-        # DuckDB regexp_extract yields '' (not NULL) on a no-match
-        # href — mirror it so both sides keep (and bucket) such rows
-        rows.loc[rows["dst"].isna(), "dst"] = ""
-        rows["tok"] = rows["atext"].str.count(_TOKEN_RE).astype("int64")
-        g = rows.groupby(["dst", "src"], as_index=False).agg(
-            n=("href", "size"), tok=("tok", "sum"))
-        # explicit arrow types: an anchorless batch yields an EMPTY g,
-        # which would otherwise infer null-typed columns and poison
-        # the downstream schema union
-        return pa.table({"dst": pa.array(g["dst"], pa.string()),
-                         "src": pa.array(g["src"], pa.string()),
-                         "n": pa.array(g["n"].to_numpy(dtype="int64")),
-                         "tok": pa.array(g["tok"].to_numpy(dtype="int64"))})
-
-    per_src = (ds.map_batches(partial, batch_format="pyarrow")
-                 .groupby(["dst", "src"])
-                 .aggregate(Sum("n", alias_name="n"),
-                            Sum("tok", alias_name="tok")))
-    out = (per_src.groupby("dst")
-                  .aggregate(Sum("n", alias_name="n_inlinks"),
-                             Count(alias_name="n_src_hosts"),
-                             Sum("tok", alias_name="n_anchor_tokens")))
-    df = out.to_pandas().rename(columns={"dst": "domain"})
-    for c in ("n_inlinks", "n_src_hosts", "n_anchor_tokens"):
-        df[c] = df[c].astype("int64")
-    return (df[["domain", "n_inlinks", "n_src_hosts", "n_anchor_tokens"]]
-            .sort_values("domain").reset_index(drop=True))
-
-
-def anchor_stats_oracle_sql(pages_dir: str) -> str:
-    return f"""
-        WITH p AS (
-          SELECT url, decode(html) AS h
-          FROM read_parquet('{pages_dir}/*.parquet')
-        ), a AS (
-          SELECT regexp_extract(url, '{DOMAIN_RE}', 1) AS src,
-                 unnest(regexp_extract_all(h,
-                   '<a href="[^"]*"[^>]*>[^<]*</a>')) AS anchor
-          FROM p
-        ), b AS (
-          SELECT src,
-                 regexp_extract(anchor, 'href="([^"]*)"', 1) AS href,
-                 -- anchor past the closing href quote, so a '>' INSIDE
-                 -- the href can't start the text capture early (same
-                 -- shape as the kernel's single _ANCHOR_RE)
-                 regexp_extract(anchor,
-                   'href="[^"]*"[^>]*>([^<]*)</a>', 1) AS atext
-          FROM a
-        ), c AS (
-          SELECT regexp_extract(href, '{_LINK_HOST_RE}', 1) AS domain,
-                 src, atext
-          FROM b WHERE href LIKE 'http%'
-        )
-        SELECT domain,
-               count(*) AS n_inlinks,
-               count(DISTINCT src) AS n_src_hosts,
-               CAST(sum(len(regexp_extract_all(atext, '{_TOKEN_RE}')))
-                    AS BIGINT) AS n_anchor_tokens
-        FROM c GROUP BY domain ORDER BY domain
-    """
-
-
-# --- domain ranking (PageRank over the host link graph) ---------------------
-# Common-Crawl publishes exactly this artifact (host/domain-level
-# centrality ranks) and crawl-curation pipelines consume it as a
-# quality prior.  The edge list is PARSED from the pages' absolute
-# hrefs with the SAME generic host regexes the rest of web.py uses
-# (DOMAIN_RE for the page's own host, _LINK_HOST_RE for link targets)
-# — no assumption about host naming, and the node universe is derived
-# from the data (urls ∪ link targets), not hardcoded (VERDICT r4 #3).
-
-PR_DAMPING = 0.85
-PR_ITERS = 30
-PR_DRIVER_MAX_NODES = 5_000_000   # dense-numpy driver iteration bound
-_PR_BUCKETS = 256                 # distributed-iteration join fan-out
-
-
-def _domain_edges(pages_dir: str) -> "ray.data.Dataset":
-    """(src:str, dst:str, n_links) host-graph edges parsed from the
-    pages' HTML (absolute hrefs only — relative links stay on-site and
-    add no edge), pre-aggregated per batch so the shuffle carries one
-    row per distinct (src, dst) per batch, never per anchor."""
-
-    ds = ray.data.read_parquet(pages_dir, columns=["url", "html"])
-
-    def edges(b: pa.Table) -> pa.Table:
-        h = b.column("html").cast(pa.string()).to_pandas()
-        src = pc.struct_field(pc.extract_regex(b.column("url"), DOMAIN_RE),
-                              "domain").to_pandas()
-        hrefs = h.str.findall(r'href="(https?://[^/">]+)')
-        rows = pd.DataFrame({
-            "src": src.to_numpy().repeat(hrefs.str.len().to_numpy()),
-            "dst": pd.Series([x for l in hrefs for x in l], dtype="str")
-                     .str.extract(_LINK_HOST_RE, expand=False),
-        }).dropna()
-        g = rows.groupby(["src", "dst"], as_index=False).size()
-        return pa.table({"src": pa.array(g["src"], pa.string()),
-                         "dst": pa.array(g["dst"], pa.string()),
-                         "n_links": pa.array(g["size"].to_numpy(
-                             dtype="int64"))})
-
-    from ray.data.aggregate import Sum
-    return (ds.map_batches(edges, batch_format="pyarrow")
-              .groupby(["src", "dst"])
-              .aggregate(Sum("n_links", alias_name="n_links")))
-
-
-def _page_hosts(pages_dir: str) -> "ray.data.Dataset":
-    """Distinct page hosts — nodes with no out-links are dangling but
-    still part of the rank universe."""
-    ds = ray.data.read_parquet(pages_dir, columns=["url"])
-
-    def hosts(b: pa.Table) -> pa.Table:
-        dom = pc.struct_field(pc.extract_regex(b.column("url"), DOMAIN_RE),
-                              "domain")
-        return pa.table({"host": pc.unique(dom)})
-
-    from ray.data.aggregate import Count
-    return (ds.map_batches(hosts, batch_format="pyarrow")
-              .groupby("host").aggregate(Count(alias_name="_n"))
-              .select_columns(["host"]))
-
-
-def pagerank_local(nodes: "np.ndarray", e: pd.DataFrame,
-                   iters: int = PR_ITERS,
-                   damping: float = PR_DAMPING) -> pd.DataFrame:
-    """Dense-numpy weighted PageRank over a factorized host universe
-    (`nodes` sorted unique hosts; `e` has string src/dst + n_links).
-    The driver path below PR_DRIVER_MAX_NODES; also the parity oracle
-    for the distributed iteration."""
-    import numpy as np
-    n = len(nodes)
-    src = np.searchsorted(nodes, e["src"].to_numpy())
-    dst = np.searchsorted(nodes, e["dst"].to_numpy())
-    wgt = e["n_links"].to_numpy(dtype=np.float64)
-    out_w = np.bincount(src, weights=wgt, minlength=n)
-    r = np.full(n, 1.0 / n)
-    dangling = out_w == 0
-    safe_out = np.where(out_w == 0, 1.0, out_w)
-    for _ in range(iters):
-        contrib = np.bincount(dst, weights=r[src] * wgt / safe_out[src],
-                              minlength=n)
-        leak = r[dangling].sum() / n
-        r = (1.0 - damping) / n + damping * (contrib + leak)
-    return pd.DataFrame({"domain": nodes, "rank": np.round(r, 12)})
-
-
-def pagerank_distributed(nodes_ds: "ray.data.Dataset",
-                         edges_ds: "ray.data.Dataset",
-                         n_nodes: int,
-                         iters: int = PR_ITERS,
-                         damping: float = PR_DAMPING
-                         ) -> "ray.data.Dataset":
-    """The above-threshold iteration: ranks stay a Dataset keyed by
-    host; each round is two tagged-union bucket joins (the
-    dedup_clusters labeler shape) — scatter rank/out-degree to the
-    edges' src buckets and emit per-dst contribution partials, then
-    gather contributions onto the node table — plus one dangling-mass
-    aggregate.  Nothing driver-resident grows with the host count.
-
-    Parity with pagerank_local is test-asserted
-    (tests/test_ops.py::test_domain_pagerank_distributed_parity)."""
-    import numpy as np
-
-    def bucket(s: pd.Series) -> np.ndarray:
-        return (pd.util.hash_pandas_object(s, index=False)
-                % _PR_BUCKETS).astype("int64").to_numpy()
-
-    # node table with out-weights: one bucket join edges→nodes
-    # (pandas blocks end-to-end: every union leg must match)
-    def edge_outw(d: pd.DataFrame) -> pd.DataFrame:
-        g = d.groupby("src", as_index=False)["n_links"].sum()
-        return pd.DataFrame({"bk": bucket(g["src"]), "host": g["src"],
-                             "out_w": g["n_links"].astype("float64"),
-                             "t": np.int8(0)})
-
-    def node_rows(d: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"bk": bucket(d["host"]), "host": d["host"],
-                             "out_w": np.zeros(len(d), np.float64),
-                             "t": np.int8(1)})
-
-    def merge_outw(g: pd.DataFrame) -> pd.DataFrame:
-        w = g[g["t"] == 0].groupby("host")["out_w"].sum()
-        nodes = g.loc[g["t"] == 1, ["host"]].drop_duplicates()
-        nodes["out_w"] = nodes["host"].map(w).fillna(0.0)
-        nodes["rank"] = 1.0 / n_nodes
-        return nodes
-
-    state = (edges_ds.map_batches(edge_outw, batch_format="pandas")
-             .union(nodes_ds.map_batches(node_rows,
-                                         batch_format="pandas"))
-             .groupby("bk").map_groups(merge_outw, batch_format="pandas")
-             .materialize())
-
-    def edge_leg(d: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"bk": bucket(d["src"]), "host": d["src"],
-                             "dst": d["dst"],
-                             "w": d["n_links"].astype("float64"),
-                             "t": np.int8(0)})
-
-    edges_tagged = edges_ds.map_batches(
-        edge_leg, batch_format="pandas").materialize()
-
-    for _ in range(iters):
-        # dangling mass: one aggregate over the (node-sized) state
-        leak = (state.map_batches(
-            lambda df: pd.DataFrame({"m": [
-                df.loc[df["out_w"] == 0, "rank"].sum()]}),
-            batch_format="pandas").sum("m")) / n_nodes
-
-        def rank_leg(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({
-                "bk": bucket(df["host"]), "host": df["host"],
-                "dst": "", "w": df["rank"] / df["out_w"].where(
-                    df["out_w"] != 0, 1.0),
-                "t": np.int8(1)})
-
-        def scatter(g: pd.DataFrame) -> pd.DataFrame:
-            rt = g[g["t"] == 1].drop_duplicates("host")
-            e = g[g["t"] == 0].copy()
-            e["c"] = e["w"] * e["host"].map(
-                rt.set_index("host")["w"]).fillna(0.0)
-            out = e.groupby("dst", as_index=False)["c"].sum()
-            return pd.DataFrame({"bk2": bucket(out["dst"]),
-                                 "host": out["dst"], "c": out["c"],
-                                 "t": np.int8(0)})
-
-        contribs = (edges_tagged
-                    .union(state.map_batches(rank_leg,
-                                             batch_format="pandas"))
-                    .groupby("bk").map_groups(scatter,
-                                              batch_format="pandas"))
-
-        def state_leg(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"bk2": bucket(df["host"]),
-                                 "host": df["host"],
-                                 "c": df["out_w"],  # carries out_w
-                                 "t": np.int8(1)})
-
-        def gather(g: pd.DataFrame, leak=leak) -> pd.DataFrame:
-            nodes = g[g["t"] == 1].drop_duplicates("host")
-            cs = g[g["t"] == 0].groupby("host")["c"].sum()
-            r = ((1.0 - damping) / n_nodes
-                 + damping * (nodes["host"].map(cs).fillna(0.0)
-                              + leak))
-            return pd.DataFrame({"host": nodes["host"],
-                                 "out_w": nodes["c"], "rank": r})
-
-        state = (contribs
-                 .union(state.map_batches(state_leg,
-                                          batch_format="pandas"))
-                 .groupby("bk2").map_groups(gather,
-                                            batch_format="pandas")
-                 .materialize())
-
-    return state.select_columns(["host", "rank"])
-
-
-def q_domain_pagerank(sf_dir: str, iters: int = PR_ITERS) -> pd.DataFrame:
-    """Weighted PageRank over the host graph: (domain, rank).  The
-    EDGE LIST is parsed from the rich-HTML pages with the generic host
-    regexes and built distributed (per-batch pre-agg → one small
-    groupby); the node universe is page hosts ∪ link targets, derived
-    from the data.  Below PR_DRIVER_MAX_NODES the iteration runs on
-    the driver over the factorized graph (the host graph is orders of
-    magnitude smaller than the page corpus; ~10^8 hosts at full crawl
-    scale is still driver-sized as dense numpy); above it,
-    pagerank_distributed runs the same math as Dataset bucket-join
-    rounds.  Rows-only (float power iteration); gated by local-numpy
-    parity tests on a generic host graph plus the rank-sum
-    invariant."""
-    import numpy as np
-
-    from ..sources.pages import rich_pages_path, rows_for_sf
-    pages = rich_pages_path(rows_for_sf(sf_dir))
-    edges_ds = _domain_edges(pages).materialize()
-
-    # node universe derived DISTRIBUTED (page hosts ∪ edge endpoints —
-    # a distinct groupby, never a driver concat), then gated on count
-    from ray.data.aggregate import Count
-
-    def endpoint_hosts(df: pd.DataFrame) -> pa.Table:
-        u = pd.unique(pd.concat([df["src"], df["dst"]],
-                                ignore_index=True))
-        return pa.table({"host": pa.array(u, pa.string())})
-
-    nodes_ds = (_page_hosts(pages)
-                .union(edges_ds.map_batches(endpoint_hosts,
-                                            batch_format="pandas"))
-                .groupby("host").aggregate(Count(alias_name="_n"))
-                .select_columns(["host"]).materialize())
-    n_nodes = nodes_ds.count()
-    if n_nodes > PR_DRIVER_MAX_NODES:   # pragma: no cover — 100x path
-        out = (pagerank_distributed(nodes_ds, edges_ds, n_nodes, iters)
-               .to_pandas().rename(columns={"host": "domain"}))
-    else:
-        nodes = np.sort(nodes_ds.to_pandas()["host"]
-                        .to_numpy(dtype=object).astype(str))
-        out = pagerank_local(nodes, edges_ds.to_pandas(), iters)
-    return out.sort_values("domain").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Crawl-frontier scheduling (politeness round-robin)
-# ---------------------------------------------------------------------------
-
-def q_frontier_schedule(sf_dir: str) -> pd.DataFrame:
-    """Politeness-aware crawl-frontier scheduling — the URL-ordering
-    stage every large crawler runs (the Heritrix/Nutch shape: at most
-    one in-flight URL per host per cycle): (url, host, priority, slot,
-    fetch_order) where
-
-      slot        = per-host rank by (priority DESC, url) — cycle k
-                    fetches each host's k-th best URL,
-      fetch_order = global position in (slot ASC, priority DESC, url)
-                    order — all first-choice URLs precede any host's
-                    second choice (round-robin politeness).
-
-    priority here is content length (a stand-in for any score column).
-
-    Scale shape — a DISTRIBUTED double row_number() with no global
-    sort:
-      1. one streaming pass derives (url, host, priority);
-      2. slot: groupby(host) in-group rank (a host's frontier is
-         bounded — crawlers cap per-host queues; a mega-host would
-         salt by url-hash range and offset, the seq_pack pattern);
-      3. fetch_order: the (slot, priority) histogram is driver-sized
-         (slots x distinct priorities, both small ints), so the driver
-         cumsums ONLY that table in (slot ASC, priority DESC) order and
-         broadcasts offsets; a groupby((slot, priority)) ranks by url
-         within each cell and adds the offset.  No corpus-wide sort or
-         materialization; ties inside one (slot, priority) cell are the
-         only in-group work.
-    """
-    import ray
-    pages = pages_path(rows_for_sf(sf_dir))
-    ds = ray.data.read_parquet(pages, columns=["url", "text"])
-
-    def feats(b: pa.Table) -> pa.Table:
-        u = b.column("url").to_pandas()
-        host = (u.str.extract(_HOSTPORT_RE, expand=False)
-                 .str.lower().fillna(""))
-        pr = b.column("text").to_pandas().str.len().astype("int64")
-        return pa.table({"url": pa.array(u), "host": pa.array(host),
-                         "priority": pa.array(pr)})
-
-    def host_rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["priority", "url"],
-                          ascending=[False, True]).copy()
-        g["slot"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    slotted = (ds.map_batches(feats, batch_format="pyarrow")
-                 .groupby("host")
-                 .map_groups(host_rank, batch_format="pandas")
-                 .materialize())
-
-    hist = (slotted.groupby(["slot", "priority"])
-                   .aggregate(Count(alias_name="n"))
-                   .to_pandas()
-                   .sort_values(["slot", "priority"],
-                                ascending=[True, False]))
-    offs = np.concatenate(
-        [[0], np.cumsum(hist["n"].to_numpy(dtype=np.int64))[:-1]])
-    off_ref = ray.put({(int(s), int(p)): int(o)
-                       for s, p, o in zip(hist["slot"], hist["priority"],
-                                          offs)})
-
-    def enumerate_cell(g: pd.DataFrame) -> pd.DataFrame:
-        base = ray.get(off_ref)[(int(g["slot"].iloc[0]),
-                                 int(g["priority"].iloc[0]))]
-        g = g.sort_values("url").copy()
-        g["fetch_order"] = base + np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    out = (slotted.groupby(["slot", "priority"])
-                  .map_groups(enumerate_cell, batch_format="pandas")
-                  .to_pandas())
-    return (out[["url", "host", "priority", "slot", "fetch_order"]]
-            .sort_values("url").reset_index(drop=True))
-
-
-def frontier_schedule_oracle_sql(pages_dir: str) -> str:
-    return f"""
-        WITH p AS (
-          SELECT url,
-                 lower(regexp_extract(url, '{_HOSTPORT_RE}', 1)) AS host,
-                 CAST(length(text) AS BIGINT) AS priority
-          FROM read_parquet('{pages_dir}/*.parquet')
-        ), s AS (
-          SELECT url, host, priority,
-                 CAST(row_number() OVER (PARTITION BY host
-                      ORDER BY priority DESC, url) AS BIGINT) AS slot
-          FROM p
-        )
-        SELECT url, host, priority, slot,
-               CAST(row_number() OVER (ORDER BY slot, priority DESC, url)
-                    AS BIGINT) AS fetch_order
-        FROM s ORDER BY url
     """

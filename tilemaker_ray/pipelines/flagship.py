@@ -45,24 +45,18 @@ def _extractor_pool() -> tuple[int, int]:
     return min(max(2, n // 2), n - 1), 1
 
 
-class _WarcPageDeriver:
-    """WARC → pages adapter (actor-pool stage): derive text from html
-    (the byte-identity-defining extraction, profile.py:extract_text)
-    and predict lang with the LangId profiles — a raw crawl carries
-    neither column, exactly the north-star's stateful-parser stage."""
-
-    def __init__(self):
-        from ..ops.text import LangId
-        self.langid = LangId()
-
-    def __call__(self, b):
-        import pyarrow as pa
-
-        from ..profile import extract_text
-        texts = [extract_text(h) for h in b.column("html").to_pylist()]
-        langs, _ = self.langid.predict(texts)
-        return b.append_column("text", pa.array(texts, pa.string())) \
-                .append_column("lang", pa.array(langs, pa.string()))
+def derive_pages(b: pa.Table) -> pa.Table:
+    """WARC records → pages: a raw crawl has html but neither text nor
+    lang. Text is derived from html by the extraction that defines the
+    parquet pages' text (profile.extract_text); lang by the LangId
+    vote (ops/text.py). Runs as Ray tasks: it holds no state beyond
+    LangId's four word sets, which it builds per batch."""
+    from ..ops.text import LangId
+    from ..profile import extract_text
+    texts = [extract_text(h) for h in b.column("html").to_pylist()]
+    langs, _ = LangId().predict(texts)
+    return b.append_column("text", pa.array(texts, pa.string())) \
+            .append_column("lang", pa.array(langs, pa.string()))
 
 
 def feature_dataset(pages_dir: str, config: Config | None = None,
@@ -91,16 +85,8 @@ def feature_dataset(pages_dir: str, config: Config | None = None,
         kwargs["regions_ref"] = ray.put(region_table())
     if pages_dir.endswith((".warc", ".warc.gz")):
         from ..sources.warc import read_warc
-        # autoscaling pool (min 1): a second FIXED pool next to the
-        # extractor's would pin every CPU on small clusters and starve
-        # the task-based read/shuffle stages (observed as a deadlock at
-        # num_cpus=4 — two 2-actor pools left zero CPUs for the WARC
-        # range-read tasks feeding them)
-        derive_pool = (1, concurrency if isinstance(concurrency, int)
-                       else concurrency[-1])
         ds = read_warc(pages_dir).map_batches(
-            _WarcPageDeriver, batch_format="pyarrow",
-            batch_size=batch_size, concurrency=derive_pool)
+            derive_pages, batch_format="pyarrow", batch_size=batch_size)
     else:
         ds = ray.data.read_parquet(pages_dir,
                                    columns=["url", "html", "text", "lang"])

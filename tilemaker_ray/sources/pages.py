@@ -136,126 +136,6 @@ def pages_path(n_rows: int, seed: int = 42, root: str = "/tmp/tilemaker_ray_page
         d, n_rows, lambda b, rows: generate_block(seed, b, rows))
 
 
-def generate_pii_block(block_id: int, n_rows: int) -> pa.Table:
-    """Contact-page variant for the PII-redaction op: deterministic
-    text embedding emails / phone numbers / IPv4 addresses at varying
-    multiplicities (0-2 each, pure function of the row id).  Kept as a
-    SEPARATE table so the default pages fixture (whose tile counts are
-    frozen in golden tests) never changes.  Fully vectorized numpy
-    char construction — no RNG, no Python row loop."""
-    base = block_id * BLOCK_ROWS
-    i = np.arange(base, base + n_rows, dtype=np.int64)
-    s = i.astype("U12")
-    w0 = WORDS[i % len(WORDS)]
-    w1 = WORDS[(i * 7 + 3) % len(WORDS)]
-    w2 = WORDS[(i * 13 + 5) % len(WORDS)]
-
-    from functools import reduce
-
-    def cat(*parts):
-        return reduce(np.char.add, parts)
-
-    email = cat("user", (i % 1000).astype("U4"), ".", w0,
-                "@mail", (i % 37).astype("U2"), ".example")
-    email2 = cat("ops", (i % 53).astype("U2"),
-                 "@mail", (i % 19).astype("U2"), ".example")
-    phone = cat("555-", (1000 + (i * 13) % 9000).astype("U4"))
-    phone2 = cat("555-", (1000 + (i * 29) % 9000).astype("U4"))
-    ip = cat("10.", (i % 256).astype("U3"), ".", ((i * 7) % 256).astype("U3"),
-             ".", (i % 250).astype("U3"))
-
-    def seg(tok, mask):
-        return np.where(mask, np.char.add(" ", tok), "")
-
-    text = cat("contact ", w0,
-               seg(email, (i % 3) != 2),
-               seg(email2, (i % 7) == 0),
-               " call", seg(phone, (i % 5) < 3),
-               seg(phone2, (i % 11) == 0),
-               " from", seg(ip, (i % 4) == 0),
-               " ", w1, " office ", w2)
-
-    urls = cat("https://contact", (i % 997).astype("U4"), ".example/p/", s)
-    return pa.table({
-        "url": pa.array(urls.tolist(), pa.string()),
-        "text": pa.array(text.tolist(), pa.string()),
-    })
-
-
-def pii_pages_path(n_rows: int,
-                   root: str = "/tmp/tilemaker_ray_pages") -> str:
-    """Materialize (once) and return the directory of the PII contact
-    pages parquet table (same blocked-determinism contract as
-    pages_path; content is a pure function of the row id alone, so
-    there is no seed parameter)."""
-    d = os.path.join(root, f"pii_n{n_rows}")
-    return _materialize_blocked(d, n_rows, generate_pii_block)
-
-
-def generate_rich_block(block_id: int, n_rows: int) -> pa.Table:
-    """Rich-HTML variant for the main-content-extraction and link-graph
-    ops: full page scaffolding (title / style / optional script / nav
-    with boilerplate links / header / main with in-content anchors /
-    footer), all boilerplate the extractor must strip.  URLs are the
-    SAME formula as generate_block's, so per-page results join 1:1
-    against the default pages table (the merged url_canonicalize
-    driver row relies on this).  In-content links follow the exact
-    host-graph convention q_domain_pagerank assumes (site s → site
-    (7s+1) mod 997 and hub s mod 31), so the link-graph op observes
-    the same graph the rank op models.  Content is a pure vectorized
-    function of the row id — no RNG, no Python row loop; everything is
-    emitted on ONE line so `.`-based (no-DOTALL) regexes behave
-    identically in Python re and DuckDB RE2."""
-    base = block_id * BLOCK_ROWS
-    i = np.arange(base, base + n_rows, dtype=np.int64)
-    s = i % 997
-    dst1 = (7 * s + 1) % 997
-    dst2 = s % 31
-    w = [WORDS[(i * k + 3 * k) % len(WORDS)] for k in (1, 7, 13, 5, 11, 17)]
-
-    from functools import reduce
-
-    def cat(*parts):
-        return reduce(np.char.add, parts)
-
-    def seg(tok, mask):
-        return np.where(mask, tok, "")
-
-    urls = cat("https://site", s.astype("U4"), ".example/page/",
-               i.astype("U12"))
-    script = cat('<script>var p=', i.astype("U12"), ';track(p);</script>')
-    nav = cat('<nav><a href="/home">home</a> <a href="/about">about</a>',
-              seg(' <a href="/contact">contact</a>', (i % 2) == 1),
-              '</nav>')
-    main = cat('<main><p>', w[0], " ", w[1], " ", w[2],
-               ' visit <a href="https://site', dst1.astype("U4"),
-               '.example/page/', (i + 1).astype("U12"), '">', w[3],
-               '</a> and <a href="https://site', dst2.astype("U4"),
-               '.example/">hub</a>',
-               seg(cat(' <a href="/page/', (i + 1).astype("U12"),
-                       '">next</a>'), (i % 4) == 0),
-               " ", w[4], " ", w[5], '</p></main>')
-    html = cat('<html><head><title>page ', i.astype("U12"),
-               '</title><style>body{margin:0}</style></head><body>',
-               seg(script, (i % 3) != 2), nav,
-               '<header><h1>site ', s.astype("U4"), '</h1></header>',
-               main, '<footer>copyright ', (2020 + i % 5).astype("U4"),
-               ' site', s.astype("U4"), '</footer></body></html>')
-    return pa.table({
-        "url": pa.array(urls.tolist(), pa.string()),
-        "html": pa.array([h.encode() for h in html.tolist()], pa.binary()),
-    })
-
-
-def rich_pages_path(n_rows: int,
-                    root: str = "/tmp/tilemaker_ray_pages") -> str:
-    """Materialize (once) and return the directory of the rich-HTML
-    pages parquet table (url, html) — same blocked contract and same
-    URL key space as pages_path(n_rows)."""
-    d = os.path.join(root, f"rich_n{n_rows}")
-    return _materialize_blocked(d, n_rows, generate_rich_block)
-
-
 def generate_snapshot2_block(seed: int, block_id: int,
                              n_rows: int) -> pa.Table:
     """Second-crawl variant of generate_block for the crawl-delta op:

@@ -101,9 +101,7 @@ class GeomMap:
         self._ypar_cache: dict[tuple, tuple] = {}
 
     def __call__(self, batch: pa.Table) -> pd.DataFrame:
-        assigned = assign_tiles_batch(batch, self.config.base_zoom,
-                                      explode_large_by_z6=False,
-                                      emit_lowzoom=False)
+        assigned = assign_tiles_batch(batch, self.config.base_zoom)
         df = assigned.to_pandas()
         self._rows = {k: [] for k in self.COLUMNS}
         df = self._emit_points_fast(df)
