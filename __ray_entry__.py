@@ -18,7 +18,7 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline: synthetic Common-Crawl-style pages (deterministic,
-    sized for sf0.001) → feature extraction (actor pool) → tile assignment
+    sized for sf0.001) → feature extraction (Ray tasks) → tile assignment
     → groupby((z6x,z6y)) → per-tile MVT render. Returns the tile Dataset
     (zoom, tile_x, tile_y, mvt, n_features, n_bytes)."""
     from tilemaker_ray.sources.pages import pages_path, rows_for_sf

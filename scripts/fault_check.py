@@ -4,11 +4,13 @@ The north rule requires the job to survive failures mid-pipeline.
 This script runs the flagship twice in fresh single-node Ray sessions:
 
   leg A  clean run -> {(z, x, y): md5(mvt)}
-  leg B  the FIRST extractor-actor call hard-kills its worker process
-         (os._exit(1), a real process death — not a Python exception),
-         exactly once per run (a /tmp flag file gates the kill).  Ray
-         restarts the actor and re-executes the lost task from
-         lineage; the run must complete with byte-identical tiles.
+  leg B  the FIRST extractor call hard-kills its task's worker
+         process (os._exit(1), a real process death — not a Python
+         exception), exactly once per run (a /tmp flag file gates the
+         kill).  Extraction runs as plain Ray tasks, so no actor is
+         restarted: Ray retries the killed task from lineage on
+         another worker, and the run must complete with
+         byte-identical tiles.
 
 Exit 0 + "FAULT OK" only if leg B actually killed a worker (flag file
 present) AND its tile bytes equal leg A's.
@@ -29,8 +31,8 @@ KILL_FLAG = "/tmp/tilemaker_ray_fault_check.flag"
 
 class CrashOnceExtractor:
     """PageFeatureExtractor whose first __call__ in the run kills the
-    hosting worker process — after marking the flag so the restarted
-    actor (and every other actor) proceeds normally."""
+    task's worker process — after marking the flag, so the retried task
+    (and every other task) proceeds normally."""
 
     def __init__(self, *a, **kw):
         from tilemaker_ray.stages.extract import PageFeatureExtractor
@@ -62,7 +64,7 @@ def _collect(crash: bool) -> dict:
         if crash:
             flagship.PageFeatureExtractor = CrashOnceExtractor
         try:
-            tiles = flagship.tile_dataset(d, concurrency=2)
+            tiles = flagship.tile_dataset(d)
             out = {}
             for b in tiles.iter_batches(batch_format="pandas",
                                         batch_size=4096):

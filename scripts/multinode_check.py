@@ -31,7 +31,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def _collect(concurrency: int = 2) -> dict:
+def _collect() -> dict:
     """Run the flagship over the shared fixture in the CURRENT Ray
     session and return {(z, x, y): md5(mvt)}."""
     from ray.data import DataContext
@@ -43,7 +43,7 @@ def _collect(concurrency: int = 2) -> dict:
     n_rows = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     d = pages_path(n_rows)
     out = {}
-    tiles = tile_dataset(d, concurrency=concurrency)
+    tiles = tile_dataset(d)
     for b in tiles.iter_batches(batch_format="pandas", batch_size=4096):
         for z, x, y, m in zip(b["zoom"], b["tile_x"], b["tile_y"], b["mvt"]):
             out[(int(z), int(x), int(y))] = hashlib.md5(bytes(m)).hexdigest()

@@ -4,10 +4,11 @@ The hardest failure the north rule names: a node dies while the
 all-to-all shuffle is in flight.  This script boots a 3-node local
 cluster (driver-only head + two 2-CPU workers), starts the flagship
 build, and tears down one worker node (raylet + its object store +
-every task/actor/shuffle block on it) two seconds into execution.
-Ray must re-schedule the lost actors onto the surviving worker and
-reconstruct lost blocks from lineage; the build must finish with
-tiles byte-identical to a clean single-node run.
+every task and shuffle block on it) two seconds into execution.
+The build runs as plain Ray tasks, so no actor has to be restarted:
+Ray re-runs the lost tasks on the surviving worker and reconstructs
+lost blocks from lineage; the build must finish with tiles
+byte-identical to a clean single-node run.
 
 Exit 0 + "NODELOSS OK" only if the node was removed while the run was
 still in flight AND the bytes match.
@@ -26,7 +27,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def _collect(n_rows: int, concurrency: int = 2) -> dict:
+def _collect(n_rows: int) -> dict:
     from ray.data import DataContext
 
     from tilemaker_ray.pipelines.flagship import tile_dataset
@@ -34,7 +35,7 @@ def _collect(n_rows: int, concurrency: int = 2) -> dict:
 
     DataContext.get_current().enable_progress_bars = False
     out = {}
-    tiles = tile_dataset(pages_path(n_rows), concurrency=concurrency)
+    tiles = tile_dataset(pages_path(n_rows))
     for b in tiles.iter_batches(batch_format="pandas", batch_size=4096):
         for z, x, y, m in zip(b["zoom"], b["tile_x"], b["tile_y"], b["mvt"]):
             out[(int(z), int(x), int(y))] = hashlib.md5(bytes(m)).hexdigest()

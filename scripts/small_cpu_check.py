@@ -7,9 +7,12 @@ a .warc.gz. A WARC build derives text and lang from html
 (flagship.derive_pages), so its reference runs the same derivation
 in process over the parquet pages.
 
-The extractor actor pool is sized from the CPU count; a pool that holds
-every CPU leaves none for the read, geometry and exchange tasks, and the
-build waits forever.
+Every stage of the build runs as plain Ray tasks, the extractor
+included, so no stage holds a CPU for the whole run: on one CPU the
+read, extract, geometry and exchange tasks take turns on the core. An
+actor pool sized to the CPU count would hold every CPU and leave none
+for the other stages, and the build would wait forever; this check
+guards against that coming back.
 
 Run:  python scripts/small_cpu_check.py <num_cpus> [n_pages] [parquet|warc]
 Prints "SMALL CPU OK cpus=<n> input=<kind> tiles=<k>" on success.

@@ -43,7 +43,7 @@ def _collect() -> tuple[dict, float]:
     n_rows = int(sys.argv[1]) if len(sys.argv) > 1 else 60_000
     d = pages_path(n_rows)
     out = {}
-    tiles = tile_dataset(d, concurrency=2)
+    tiles = tile_dataset(d)
     # sample the spill directory WHILE iterating (ADVICE r4: Ray
     # deletes spilled files as consumed objects are freed, so a
     # post-run listing is timing-dependent) — track the running max

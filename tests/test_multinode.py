@@ -41,9 +41,10 @@ def test_cli_connects_to_existing_cluster():
 
 def test_fault_injection_parity():
     # A worker process hard-killed mid-run (os._exit in the first
-    # extractor-actor call) must not change the output: Ray restarts
-    # the actor, re-executes the lost task from lineage, and the
-    # tiles come out byte-identical to a clean run.
+    # extractor call) must not change the output: extraction runs as
+    # plain tasks, so no actor is restarted — Ray retries the killed
+    # task from lineage and the tiles come out byte-identical to a
+    # clean run.
     env = dict(os.environ)
     env.pop("RAY_ADDRESS", None)
     p = subprocess.run(

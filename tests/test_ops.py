@@ -412,6 +412,64 @@ def test_crawl_delta_oracle():
     assert c["unchanged"] == n - gone - changed
 
 
+def test_resolve_statuses_hand_built():
+    """One pass over urls from several buckets, in shuffle order: a url
+    only on the old side is gone, only on the new side new, equal
+    hashes unchanged, different hashes changed."""
+    from tilemaker_ray.ops.web import _resolve_statuses
+    g = pd.DataFrame({
+        "bucket": [5, 2, 5, 9, 2, 9, 5],
+        "url": ["https://b.example/2", "https://a.example/1",
+                "https://b.example/2", "https://c.example/3",
+                "https://d.example/4", "https://c.example/3",
+                "https://e.example/5"],
+        "h": ["h2", "h1", "h2", "h3old", "h4", "h3new", "h5"],
+        "side": ["new", "old", "old", "old", "new", "new", "old"],
+    })
+    want = pd.DataFrame({
+        "url": ["https://a.example/1", "https://b.example/2",
+                "https://c.example/3", "https://d.example/4",
+                "https://e.example/5"],
+        "status": ["gone", "unchanged", "changed", "new", "gone"],
+    })
+    pd.testing.assert_frame_equal(_resolve_statuses(g), want)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_crawl_delta_lang_only_change(tmp_path):
+    """A page whose text is the same but whose lang was re-annotated is
+    unchanged by the default (text) hash and changed once lang is one
+    of the content columns, as the incremental pipeline passes them."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from tilemaker_ray.ops.web import crawl_delta_ds
+
+    def snapshot(name, langs):
+        d = tmp_path / name
+        d.mkdir()
+        pq.write_table(pa.table({
+            "url": ["https://a.example/1", "https://b.example/2"],
+            "html": ["<p>one</p>", "<p>two</p>"],
+            "text": ["one", "two"],
+            "lang": langs,
+        }), d / "part-0.parquet")
+        return str(d)
+
+    old = snapshot("old", ["en", "en"])
+    new = snapshot("new", ["en", "de"])
+
+    def statuses(**kw):
+        df = crawl_delta_ds(old, new, **kw).to_pandas()
+        return dict(zip(df["url"], df["status"]))
+
+    assert statuses() == {"https://a.example/1": "unchanged",
+                          "https://b.example/2": "unchanged"}
+    assert statuses(content_cols=("text", "lang", "html")) == {
+        "https://a.example/1": "unchanged",
+        "https://b.example/2": "changed"}
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_global_quantile_point_mass_refinement():
     """The histogram-refinement path: a column that is one point mass

@@ -179,12 +179,12 @@ class TestRayPipeline:
     def test_flagship(self):
         from tilemaker_ray.pipelines.flagship import tile_dataset
         d = pages_path(2000)
-        df = tile_dataset(d, concurrency=2).to_pandas()
+        df = tile_dataset(d).to_pandas()
         assert len(df) > 1000
         assert not df.duplicated(subset=["zoom", "tile_x", "tile_y"]).any()
         assert (df.n_bytes > 0).all()
         # deterministic across runs
-        df2 = tile_dataset(d, concurrency=2).to_pandas()
+        df2 = tile_dataset(d).to_pandas()
         a = df.sort_values(["zoom", "tile_x", "tile_y"]).reset_index(drop=True)
         b = df2.sort_values(["zoom", "tile_x", "tile_y"]).reset_index(drop=True)
         assert a.equals(b)

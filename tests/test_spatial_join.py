@@ -133,7 +133,7 @@ class TestJoinedPipeline:
         from tilemaker_ray.pipelines.flagship import tile_dataset
         from tilemaker_ray.sources.pages import pages_path
         d = pages_path(1000)
-        df = tile_dataset(d, with_joins=True, concurrency=2).to_pandas()
+        df = tile_dataset(d, with_joins=True).to_pandas()
         assert len(df) > 500
         # some z14 place features must carry the region attribute
         tagged = 0

@@ -19,10 +19,26 @@ import ray.data
 
 # Scale shape: each snapshot is hashed in its own streaming pass (the
 # shuffle carries (url, md5, side) — never page bytes), the union is
-# bucketed by a url hash and each bucket resolves statuses with one
-# in-group pandas pivot.
+# bucketed by a url hash and each bucket resolves its statuses in one
+# vectorised pass (_resolve_statuses). The bucket count follows the
+# input size by the rule the tile exchange uses: each group costs Ray
+# ~1.7 ms whatever its size, so a count fixed for large crawls would
+# make a small one pay mostly for groups it barely fills.
 
-DELTA_BUCKETS = 1024
+
+def _resolve_statuses(g: pd.DataFrame) -> pd.DataFrame:
+    """(url, h, side) rows of any set of whole urls → one (url, status)
+    row per url, sorted by url: `new` (only on the new side), `gone`
+    (only on the old side), `unchanged` (equal hashes) or `changed`."""
+    def side(name: str) -> pd.Series:
+        rows = g.loc[g["side"] == name].drop_duplicates("url")
+        return rows.set_index("url")["h"].rename(name)
+
+    w = pd.concat([side("old"), side("new")], axis=1).sort_index()
+    status = np.select(
+        [w["old"].isna(), w["new"].isna(), w["old"] == w["new"]],
+        ["new", "gone", "unchanged"], default="changed")
+    return pd.DataFrame({"url": w.index.to_numpy(), "status": status})
 
 
 def q_crawl_delta(sf_dir: str) -> pd.DataFrame:
@@ -43,15 +59,17 @@ def crawl_delta_ds(old_dir: str, new_dir: str,
     two page-snapshot dirs — the CDX-style revisit classifier.  A
     tagged-union bucket join: both sides hash to the same url bucket,
     ONE groupby resolves each url's pair of content hashes (no
-    driver-side join; the per-bucket pivot touches only that bucket's
-    urls).
+    driver-side join; each group touches only its bucket's urls).
 
     `content_cols` defines what counts as "changed" (md5 over the
     concatenation).  The default matches the CDX convention (body
     text); the incremental tile pipeline passes every column feature
     extraction reads — a lang-only re-annotation MUST count as changed
     there or its tiles go stale (review r4)."""
+    from ..stages.salted import data_num_partitions, dir_input_bytes
     sides = {"old": old_dir, "new": new_dir}
+    buckets = data_num_partitions(dir_input_bytes(old_dir)
+                                  + dir_input_bytes(new_dir))
 
     def hashed(side: str):
         def f(b: pa.Table) -> pa.Table:
@@ -61,7 +79,7 @@ def crawl_delta_ds(old_dir: str, new_dir: str,
                 "\x00".join(str(v) for v in vals).encode()).hexdigest()
                 for vals in zip(*cols)])
             bk = (pd.util.hash_pandas_object(u, index=False)
-                  % DELTA_BUCKETS).astype("int64")
+                  % buckets).astype("int64")
             return pa.table({"bucket": pa.array(bk.to_numpy()),
                              "url": pa.array(u),
                              "h": pa.array(h),
@@ -73,17 +91,7 @@ def crawl_delta_ds(old_dir: str, new_dir: str,
                 .map_batches(hashed(s), batch_format="pyarrow")
              for s, p in sides.items()]
     both = parts[0].union(parts[1])
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        w = g.pivot_table(index="url", columns="side", values="h",
-                          aggfunc="first").reindex(
-            columns=["old", "new"]).reset_index()
-        status = np.select(
-            [w["old"].isna(), w["new"].isna(), w["old"] == w["new"]],
-            ["new", "gone", "unchanged"], default="changed")
-        return pd.DataFrame({"url": w["url"], "status": status})
-
-    return both.groupby("bucket").map_groups(resolve,
+    return both.groupby("bucket").map_groups(_resolve_statuses,
                                              batch_format="pandas")
 
 

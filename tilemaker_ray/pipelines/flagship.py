@@ -3,7 +3,7 @@
 Ray-Data lifecycle:
 
     read_parquet(pages)                                [stream]
-      → map_batches(PageFeatureExtractor, actors)      [ST1]
+      → map_batches(PageFeatureExtractor(...))         [ST1, tasks]
       → map_batches(GeomMap)                           [A1 explode +
                                                         clip/simplify/scale]
       → map_batches(add_partition_key)                 [exchange key]
@@ -29,22 +29,6 @@ from ..stages.salted import data_num_partitions, dir_input_bytes
 from . import chain
 
 
-def _extractor_pool() -> tuple[int, int]:
-    """(actors, CPUs per actor) of the default extractor pool.
-
-    A fixed pool that holds every CPU leaves none for the read,
-    geometry and exchange tasks, and the build waits forever; so the
-    pool keeps at least one CPU free: max(2, n//2) actors at n >= 4
-    CPUs, n-1 below that. On one CPU there is nothing to keep free, so
-    the single actor reserves no CPU and shares the core with the
-    tasks."""
-    import ray
-    n = int(ray.cluster_resources().get("CPU", 8))
-    if n <= 1:
-        return 1, 0
-    return min(max(2, n // 2), n - 1), 1
-
-
 def derive_pages(b: pa.Table) -> pa.Table:
     """WARC records → pages: a raw crawl has html but neither text nor
     lang. Text is derived from html by the extraction that defines the
@@ -60,7 +44,6 @@ def derive_pages(b: pa.Table) -> pa.Table:
 
 
 def feature_dataset(pages_dir: str, config: Config | None = None,
-                    concurrency: int | tuple | None = None,
                     batch_size: int = 2048,
                     with_joins: bool = False,
                     profile_factory=None,
@@ -69,11 +52,13 @@ def feature_dataset(pages_dir: str, config: Config | None = None,
     pipeline's delta path) — applied between read and extractor so the
     SAME wiring (columns, extractor kwargs, profile, WARC derivation)
     serves both the full and the filtered run; non-matching pages never
-    reach the extractor."""
+    reach the extractor.
+
+    The extractor is built once here, on the driver, and runs as plain
+    Ray tasks: Ray Data ships the instance to each task with the rest
+    of the stage, so no actor holds a CPU for the whole build and a
+    task lost with its worker is re-run from lineage."""
     config = config or default_config()
-    actor_cpus = 1
-    if concurrency is None:
-        concurrency, actor_cpus = _extractor_pool()
     known = {l.name for l in config.layers}
     kwargs = {"known_layers": known}
     if profile_factory is not None:
@@ -82,7 +67,7 @@ def feature_dataset(pages_dir: str, config: Config | None = None,
         from ..profile import JoinedWebProfile
         from ..sources.regions import region_table
         kwargs["profile_factory"] = JoinedWebProfile
-        kwargs["regions_ref"] = ray.put(region_table())
+        kwargs["regions"] = region_table()
     if pages_dir.endswith((".warc", ".warc.gz")):
         from ..sources.warc import read_warc
         ds = read_warc(pages_dir).map_batches(
@@ -96,18 +81,11 @@ def feature_dataset(pages_dir: str, config: Config | None = None,
         ds = ds.map_batches(
             lambda b: b.filter(pc.is_in(b.column("url"), need)),
             batch_format="pyarrow")
-    return ds.map_batches(
-        PageFeatureExtractor,
-        fn_constructor_kwargs=kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=actor_cpus,
-    )
+    return ds.map_batches(PageFeatureExtractor(**kwargs),
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
 def tile_dataset(pages_dir: str, config: Config | None = None,
-                 concurrency: int | tuple | None = None,
                  with_joins: bool = False,
                  profile_factory=None) -> ray.data.Dataset:
     """pages → MVT tiles: feature_dataset, then the tile chain
@@ -122,8 +100,7 @@ def tile_dataset(pages_dir: str, config: Config | None = None,
     ctx = DataContext.get_current()
     if ctx.target_max_block_size is None or ctx.target_max_block_size > 8 * 1024 * 1024:
         ctx.target_max_block_size = 8 * 1024 * 1024
-    feats = feature_dataset(pages_dir, config, concurrency=concurrency,
-                            with_joins=with_joins,
+    feats = feature_dataset(pages_dir, config, with_joins=with_joins,
                             profile_factory=profile_factory)
     # data-derived exchange width: est exploded bytes / target group
     # size (VERDICT r2 #4) — CPU-floored at small scale, macro-block
@@ -152,7 +129,7 @@ def points_oracle_config() -> Config:
 
 
 def q_flagship_point_counts(sf_dir: str):
-    """The REAL flagship engine path — actor-pool extraction, tile
+    """The REAL flagship engine path — task extraction, tile
     assignment, pk shuffle, O3 sort + dedup + feature_limit +
     combine_points assembly — restricted to the point layer, whose
     per-tile feature counts are exactly reproducible in SQL (regex
@@ -164,7 +141,6 @@ def q_flagship_point_counts(sf_dir: str):
     pages = pages_path(rows_for_sf(sf_dir))
     df = tile_dataset(pages, config=points_oracle_config(),
                       profile_factory=PointsProfile).to_pandas()
-    import numpy as np
     out = df[["zoom", "tile_x", "tile_y", "n_features"]].astype(np.int64)
     return out.sort_values(["zoom", "tile_x", "tile_y"]).reset_index(drop=True)
 

@@ -10,9 +10,12 @@ maintenance the Ray-Data design makes natural:
 
 1. **Delta classification** — `ops/web.py:crawl_delta_ds` (the
    CDX-style revisit classifier): one tagged-union bucket join over
-   (url, md5(text)) gives each url's status ∈ {new, gone, changed,
-   unchanged}.  Only the non-`unchanged` slice (a few percent of a
-   recrawl) ever leaves this stage.
+   (url, md5 of every column extraction reads) gives each url's
+   status ∈ {new, gone, changed, unchanged}.  The buckets are sized
+   from the two snapshots' bytes, as the tile exchange's partitions
+   are, and each resolves its urls in one vectorised pass.  Only the
+   non-`unchanged` slice (a few percent of a recrawl) ever leaves
+   this stage.
 2. **Delta geometry** — the extractor + single-pass GeomMap run over
    just the delta pages: OLD versions of changed/gone urls (rows to
    retract) and NEW versions of changed/new urls (rows to insert).

@@ -1,11 +1,12 @@
-"""Stateful actor-pool feature extraction (ST1).
+"""Feature extraction (ST1).
 
 The Ray-Data equivalent of the reference's per-thread Lua VM
 (/root/reference/src/tilemaker.cpp:304-322,
-osm_lua_processing.cpp:17-18): a callable CLASS for
-`map_batches(PageFeatureExtractor, concurrency=N, batch_format="pyarrow")`
-— profile construction / regex compilation happens once per actor in
-__init__, per-batch work in __call__.
+osm_lua_processing.cpp:17-18): a callable object for
+`map_batches(PageFeatureExtractor(...), batch_format="pyarrow")` —
+profile construction, regex compilation and the spatial-join index
+build happen once, on the driver, in __init__; the instance is shipped
+to the Ray tasks that run __call__ on each batch.
 
 Output feature schema (the OutputObject analogue,
 output_object.h:24-83, carried as row columns instead of a packed
@@ -42,18 +43,15 @@ FEATURE_SCHEMA = pa.schema([
 
 class PageFeatureExtractor:
     def __init__(self, profile_factory=WebProfile, known_layers=None,
-                 verify_text_invariant: bool = True, regions_ref=None):
+                 verify_text_invariant: bool = True, regions=None):
         self.profile = profile_factory()
         self.known_layers = set(known_layers or ("places", "routes", "areas"))
         self.verify = verify_text_invariant
-        # broadcast spatial-join build side: ray.put once on the driver,
-        # PolygonIndex built ONCE PER ACTOR here (ST5 pattern)
+        # spatial-join build side: the PolygonIndex is built once here
+        # and travels to the tasks inside the instance (ST5 pattern)
         self.joins = None
-        if regions_ref is not None:
-            import ray
+        if regions is not None:
             from .spatial_join import PolygonIndex, SpatialJoins
-            regions = ray.get(regions_ref) if isinstance(regions_ref, ray.ObjectRef) \
-                else regions_ref
             self.joins = SpatialJoins({"regions": PolygonIndex(regions)})
 
     def __call__(self, batch: pa.Table) -> pa.Table:
