@@ -61,10 +61,15 @@ def main() -> int:
         initialize_head=True,
         head_node_args={"num_cpus": 0, "include_dashboard": False,
                         "object_store_memory": 1 << 30})
-    keeper = cluster.add_node(num_cpus=2, object_store_memory=1 << 30)
-    victim = cluster.add_node(num_cpus=2, object_store_memory=1 << 30)
+    workers = [cluster.add_node(num_cpus=2, object_store_memory=1 << 30)
+               for _ in range(2)]
     ray.init(address=cluster.address, include_dashboard=False,
              logging_level="ERROR")
+    # the driver attaches to one of this host's raylets, possibly a
+    # worker's, and Cluster refuses to remove that node: kill the other
+    driver_raylet = ray._private.worker.global_worker.node._raylet_socket_name
+    victim = next(w for w in workers
+                  if w._raylet_socket_name != driver_raylet)
     state = {"done": False, "killed_at": None}
 
     def assassin():

@@ -415,16 +415,17 @@ def test_crawl_delta_oracle():
 def test_resolve_statuses_hand_built():
     """One pass over urls from several buckets, in shuffle order: a url
     only on the old side is gone, only on the new side new, equal
-    hashes unchanged, different hashes changed."""
+    hashes unchanged, different hashes changed; a url seen twice on
+    one side still gives one row."""
     from tilemaker_ray.ops.web import _resolve_statuses
     g = pd.DataFrame({
-        "bucket": [5, 2, 5, 9, 2, 9, 5],
+        "bucket": [5, 2, 5, 9, 2, 9, 5, 5],
         "url": ["https://b.example/2", "https://a.example/1",
                 "https://b.example/2", "https://c.example/3",
                 "https://d.example/4", "https://c.example/3",
-                "https://e.example/5"],
-        "h": ["h2", "h1", "h2", "h3old", "h4", "h3new", "h5"],
-        "side": ["new", "old", "old", "old", "new", "new", "old"],
+                "https://e.example/5", "https://e.example/5"],
+        "h": ["h2", "h1", "h2", "h3old", "h4", "h3new", "h5", "h5"],
+        "side": ["new", "old", "old", "old", "new", "new", "old", "old"],
     })
     want = pd.DataFrame({
         "url": ["https://a.example/1", "https://b.example/2",
