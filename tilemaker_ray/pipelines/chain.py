@@ -21,7 +21,7 @@ import ray.data
 from ..config import Config
 from ..stages.salted import GeomMap, TileAssembler, add_partition_key
 
-# rows per GeomMap call in tiles_local: the extractor's batch size
+# rows per GeomMap call in tiles_local; any value gives the same tiles
 LOCAL_BATCH_ROWS = 2048
 # exchange width of tiles_local; any value gives the same tiles
 LOCAL_PARTITIONS = 16

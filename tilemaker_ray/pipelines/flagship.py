@@ -44,7 +44,7 @@ def derive_pages(b: pa.Table) -> pa.Table:
 
 
 def feature_dataset(pages_dir: str, config: Config | None = None,
-                    batch_size: int = 2048,
+                    batch_size: int = 256,
                     with_joins: bool = False,
                     profile_factory=None,
                     url_filter: set[str] | None = None) -> ray.data.Dataset:
@@ -57,7 +57,15 @@ def feature_dataset(pages_dir: str, config: Config | None = None,
     The extractor is built once here, on the driver, and runs as plain
     Ray tasks: Ray Data ships the instance to each task with the rest
     of the stage, so no actor holds a CPU for the whole build and a
-    task lost with its worker is re-run from lineage."""
+    task lost with its worker is re-run from lineage.
+
+    batch_size is the rows per extractor call, and so per task: Ray
+    Data bundles read blocks until a bundle holds that many rows. A few
+    hundred pages outweigh a task's fixed cost, a crawl of thousands
+    still spreads over every CPU, and a recrawl's delta of a few dozen
+    pages stays one task. A size above the crawl's rows would put
+    extraction, geometry and the exchange's map side in one task on
+    one CPU, whose run time then moves with that one core's load."""
     config = config or default_config()
     known = {l.name for l in config.layers}
     kwargs = {"known_layers": known}
