@@ -1,20 +1,24 @@
-"""The flagship build on a Ray cluster of 1 or 2 CPUs must finish and
-give the same tiles as the in-process tile chain (pipelines/chain.py
-tiles_local) over the same pages.
+"""A tile build on a Ray cluster of 1 or 2 CPUs must finish and give
+the same tiles as the in-process tile chain (pipelines/chain.py
+tiles_local) over the same features.
 
 The input is the synthetic pages parquet, or the same pages written to
-a .warc.gz. A WARC build derives text and lang from html
-(flagship.derive_pages), so its reference runs the same derivation
-in process over the parquet pages.
+a .warc.gz, or a seeded synthetic .osm.pbf (scripts/synth_pbf.py). A
+WARC build derives text and lang from html (flagship.derive_pages), so
+its reference runs the same derivation in process over the parquet
+pages. An OSM build (osm_tile_dataset) is compared with tiles_local
+over the features osm_feature_dataset gives in the same Ray session.
 
-Every stage of the build runs as plain Ray tasks, the extractor
-included, so no stage holds a CPU for the whole run: on one CPU the
-read, extract, geometry and exchange tasks take turns on the core. An
-actor pool sized to the CPU count would hold every CPU and leave none
-for the other stages, and the build would wait forever; this check
-guards against that coming back.
+Every stage of the build runs as plain Ray tasks, the extractor and
+the OSM node store included, so no stage holds a CPU for the whole
+run: on one CPU the read, extract, geometry and exchange tasks take
+turns on the core. An actor pool sized to the CPU count would hold
+every CPU and leave none for the other stages, and the build would
+wait forever; this check guards against that coming back.
 
-Run:  python scripts/small_cpu_check.py <num_cpus> [n_pages] [parquet|warc]
+Run:  python scripts/small_cpu_check.py <num_cpus> [n] [parquet|warc|osm]
+n is the page count (default 500), or for osm the node count, with
+n // 15 ways and n // 500 relations.
 Prints "SMALL CPU OK cpus=<n> input=<kind> tiles=<k>" on success.
 Invoked as a subprocess under a timeout by tests/test_small_cpu.py (the
 pytest session owns its own 4-CPU Ray).
@@ -27,6 +31,7 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 
 def digest(rows) -> str:
@@ -44,15 +49,36 @@ def frame_rows(df):
 
 def main() -> int:
     num_cpus = int(sys.argv[1])
-    n_pages = int(sys.argv[2]) if len(sys.argv) > 2 else 500
+    n = int(sys.argv[2]) if len(sys.argv) > 2 else 500
     kind = sys.argv[3] if len(sys.argv) > 3 else "parquet"
-    if kind not in ("parquet", "warc"):
+    if kind not in ("parquet", "warc", "osm"):
         print(f"FAIL: unknown input kind {kind!r}")
         return 2
+    got, expect = (osm_build(num_cpus, n) if kind == "osm"
+                   else pages_build(num_cpus, n, kind))
+    if got.duplicated(subset=["zoom", "tile_x", "tile_y"]).any():
+        print("FAIL: duplicate (zoom, x, y)")
+        return 1
+    if digest(frame_rows(got)) != digest(frame_rows(expect)):
+        print(f"FAIL: digest mismatch ({len(got)} tiles vs {len(expect)})")
+        return 1
+    print(f"SMALL CPU OK cpus={num_cpus} input={kind} tiles={len(got)}")
+    return 0
 
-    import pyarrow.parquet as pq
+
+def start_ray(num_cpus: int) -> None:
     import ray
     from ray.data import DataContext
+
+    ray.init(address="local", num_cpus=num_cpus,
+             include_dashboard=False, logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+
+
+def pages_build(num_cpus: int, n_pages: int, kind: str):
+    """(Ray tile_dataset tiles, tiles_local tiles) over n_pages pages."""
+    import pyarrow.parquet as pq
+    import ray
 
     from tilemaker_ray.config import default_config
     from tilemaker_ray.pipelines.chain import tiles_local
@@ -69,28 +95,44 @@ def main() -> int:
     feats = PageFeatureExtractor(known_layers={l.name for l in config.layers})(
         table.select(["url", "html", "text", "lang"]))
     local = tiles_local(feats, config)
-    expect = digest(frame_rows(local))
 
     with tempfile.TemporaryDirectory() as tmp:
         src = pages
         if kind == "warc":
             src = os.path.join(tmp, "crawl.warc.gz")
             write_warc(raw, src)
-        ray.init(address="local", num_cpus=num_cpus,
-                 include_dashboard=False, logging_level="ERROR")
+        start_ray(num_cpus)
         try:
-            DataContext.get_current().enable_progress_bars = False
             got = tile_dataset(src).to_pandas()
         finally:
             ray.shutdown()
-    if got.duplicated(subset=["zoom", "tile_x", "tile_y"]).any():
-        print("FAIL: duplicate (zoom, x, y)")
-        return 1
-    if digest(frame_rows(got)) != expect:
-        print(f"FAIL: digest mismatch ({len(got)} tiles vs {len(local)})")
-        return 1
-    print(f"SMALL CPU OK cpus={num_cpus} input={kind} tiles={len(got)}")
-    return 0
+    return got, local
+
+
+def osm_build(num_cpus: int, n_nodes: int):
+    """(Ray osm_tile_dataset tiles, tiles_local tiles over the same
+    run's features) for a seeded synthetic PBF of n_nodes nodes."""
+    import pyarrow as pa
+    import ray
+
+    from synth_pbf import synthesize
+    from tilemaker_ray.pipelines.chain import tiles_local
+    from tilemaker_ray.pipelines.osm import (osm_config, osm_feature_dataset,
+                                             osm_tile_dataset)
+
+    config = osm_config()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "synth.osm.pbf")
+        synthesize(path, n_nodes=n_nodes, n_ways=n_nodes // 15,
+                   n_rels=n_nodes // 500, block_entities=2000, seed=7)
+        start_ray(num_cpus)
+        try:
+            got = osm_tile_dataset(path, config).to_pandas()
+            feats = pa.concat_tables(list(osm_feature_dataset(path, config)
+                                          .iter_batches(batch_format="pyarrow")))
+        finally:
+            ray.shutdown()
+    return got, tiles_local(feats, config)
 
 
 if __name__ == "__main__":

@@ -309,9 +309,9 @@ def block_min_node_id(data: bytes) -> int | None:
     """Cheap probe: the FIRST dense-node id of an OSMData block (= the
     block minimum — DenseNodes ids are delta-coded ascending). Decodes
     only the leading varint of the first id array; no lat/lon/tag
-    decode, no cumsum. Used by the node-range boundary sampler, where a
-    full parse_primitive_block per sampled block dominated
-    build_node_store's wall (~1 s on Monaco)."""
+    decode, no cumsum. Used by the node-range boundary sampler, which
+    runs on the driver and needs one id per sampled block, so a full
+    parse_primitive_block there would decode each block for nothing."""
     for f, w, v in _fields(data):
         if f == 2:  # PrimitiveGroup
             for f2, w2, v2 in _fields(v):
