@@ -1,15 +1,20 @@
 """CLI surface (python -m tilemaker_ray) — subprocess-driven so the
 CLI owns its own Ray session like a real invocation."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+from conftest import MONACO, REFERENCE, ROOT
+
+OMT_LUA = os.path.join(REFERENCE, "resources", "process-openmaptiles.lua")
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "tilemaker_ray", *args],
-                          capture_output=True, text=True, cwd="/root/repo",
+                          capture_output=True, text=True, cwd=ROOT,
                           timeout=280)
 
 
@@ -24,63 +29,61 @@ class TestCli:
         assert r.returncode != 0
         assert "--input" in r.stderr
 
-    def test_monaco_to_mbtiles(self, tmp_path):
-        out = str(tmp_path / "m.mbtiles")
-        r = run_cli("--input", "/root/reference/test/monaco.pbf",
-                    "--output", out, "--quiet")
-        assert r.returncode == 0, r.stderr[-500:]
+    def test_monaco_to_mbtiles(self, osm_inputs, tmp_path):
         from tilemaker_ray.sinks.mbtiles import read_mbtiles, read_metadata
-        tiles = read_mbtiles(out)
-        assert len(tiles) >= 10
-        assert read_metadata(out)["format"] == "pbf"
+        for k, src in enumerate(osm_inputs):
+            out = str(tmp_path / f"m{k}.mbtiles")
+            r = run_cli("--input", src, "--output", out, "--quiet")
+            assert r.returncode == 0, r.stderr[-500:]
+            tiles = read_mbtiles(out)
+            assert len(tiles) >= 10
+            assert read_metadata(out)["format"] == "pbf"
 
-    def test_monaco_to_pmtiles_and_merge(self, tmp_path):
+    def test_monaco_to_pmtiles_and_merge(self, osm_inputs, tmp_path):
         """pmtiles write + a second --merge run over the same archive:
         counts stay identical (merged features, not duplicated tiles)."""
-        out = str(tmp_path / "m.pmtiles")
-        r = run_cli("--input", "/root/reference/test/monaco.pbf",
-                    "--output", out, "--quiet")
-        assert r.returncode == 0, r.stderr[-500:]
         from tilemaker_ray.sinks.pmtiles import read_pmtiles
-        first = read_pmtiles(out)
-        assert len(first["tiles"]) >= 10
-        r = run_cli("--input", "/root/reference/test/monaco.pbf",
-                    "--output", out, "--merge", "--quiet")
-        assert r.returncode == 0, r.stderr[-500:]
-        merged = read_pmtiles(out)
-        assert set(merged["tiles"]) == set(first["tiles"])
-        # merged tiles hold old+new features → strictly larger blobs
-        t0 = sorted(first["tiles"])[0]
-        assert len(merged["tiles"][t0]) > len(first["tiles"][t0])
+        for k, src in enumerate(osm_inputs):
+            out = str(tmp_path / f"m{k}.pmtiles")
+            r = run_cli("--input", src, "--output", out, "--quiet")
+            assert r.returncode == 0, r.stderr[-500:]
+            first = read_pmtiles(out)
+            assert len(first["tiles"]) >= 10
+            r = run_cli("--input", src, "--output", out, "--merge", "--quiet")
+            assert r.returncode == 0, r.stderr[-500:]
+            merged = read_pmtiles(out)
+            assert set(merged["tiles"]) == set(first["tiles"])
+            # merged tiles hold old+new features → strictly larger blobs
+            t0 = sorted(first["tiles"])[0]
+            assert len(merged["tiles"][t0]) > len(first["tiles"][t0])
 
-    def test_bbox_restricts_tileset(self, tmp_path):
+    def test_bbox_restricts_tileset(self, osm_inputs, tmp_path):
         """--bbox restricts the generated tileset to tiles intersecting
         the box (reference options_parser.cpp:18-46), not just the
         metadata bounds."""
-        full = str(tmp_path / "full.mbtiles")
-        clip = str(tmp_path / "clip.mbtiles")
-        r = run_cli("--input", "/root/reference/test/monaco.pbf",
-                    "--output", full, "--quiet")
-        assert r.returncode == 0, r.stderr[-500:]
-        # small interior box — strictly cuts the tileset at high zooms
-        r = run_cli("--input", "/root/reference/test/monaco.pbf",
-                    "--output", clip, "--quiet",
-                    "--bbox", "7.425,43.73,7.4295,43.74")
-        assert r.returncode == 0, r.stderr[-500:]
         from tilemaker_ray.sinks.mbtiles import read_mbtiles
         from tilemaker_ray.tilemath import bbox_tile_ranges
-        t_full = set(read_mbtiles(full))
-        t_clip = set(read_mbtiles(clip))
-        assert t_clip and t_clip < t_full
-        ranges = bbox_tile_ranges((7.425, 43.73, 7.4295, 43.74), 0, 14)
-        for (z, x, y) in t_clip:
-            x0, x1, y0, y1 = ranges[z]
-            assert x0 <= x <= x1 and y0 <= y <= y1, (z, x, y)
-        # tiles of the full run inside the box survive the clip run
-        kept = {(z, x, y) for (z, x, y) in t_full
-                if ranges[z][0] <= x <= ranges[z][1]
-                and ranges[z][2] <= y <= ranges[z][3]}
-        assert t_clip == kept
+        for k, src in enumerate(osm_inputs):
+            full = str(tmp_path / f"full{k}.mbtiles")
+            clip = str(tmp_path / f"clip{k}.mbtiles")
+            r = run_cli("--input", src, "--output", full, "--quiet")
+            assert r.returncode == 0, r.stderr[-500:]
+            # small interior box — strictly cuts the tileset at high zooms
+            r = run_cli("--input", src, "--output", clip, "--quiet",
+                        "--bbox", "7.425,43.73,7.4295,43.74")
+            assert r.returncode == 0, r.stderr[-500:]
+            t_full = set(read_mbtiles(full))
+            t_clip = set(read_mbtiles(clip))
+            assert t_clip and t_clip < t_full
+            ranges = bbox_tile_ranges((7.425, 43.73, 7.4295, 43.74), 0, 14)
+            for (z, x, y) in t_clip:
+                x0, x1, y0, y1 = ranges[z]
+                assert x0 <= x <= x1 and y0 <= y <= y1, (z, x, y)
+            # tiles of the full run inside the box survive the clip run
+            kept = {(z, x, y) for (z, x, y) in t_full
+                    if ranges[z][0] <= x <= ranges[z][1]
+                    and ranges[z][2] <= y <= ranges[z][3]}
+            assert t_clip == kept
 
     def test_warc_input_to_mbtiles(self, tmp_path):
         """A .warc.gz crawl through the CLI matches the parquet pages
@@ -110,71 +113,73 @@ class TestCli:
         tw, tp = read_mbtiles(out_w), read_mbtiles(out_p)
         assert set(tw.keys()) == set(tp.keys()) and len(tw) > 10
 
-    def test_positional_input_output(self, tmp_path):
+    def test_positional_input_output(self, osm_inputs, tmp_path):
         """Reference positional form: `tilemaker in.pbf out.mbtiles`."""
-        out = str(tmp_path / "pos.mbtiles")
-        r = run_cli("/root/reference/test/monaco.pbf", out, "--quiet")
-        assert r.returncode == 0, r.stderr[-500:]
         from tilemaker_ray.sinks.mbtiles import read_mbtiles
-        assert len(read_mbtiles(out)) >= 10
+        for k, src in enumerate(osm_inputs):
+            out = str(tmp_path / f"pos{k}.mbtiles")
+            r = run_cli(src, out, "--quiet")
+            assert r.returncode == 0, r.stderr[-500:]
+            assert len(read_mbtiles(out)) >= 10
 
+    @pytest.mark.skipif(not (os.path.exists(MONACO) and os.path.exists(OMT_LUA)),
+                        reason=f"needs {MONACO} and {OMT_LUA}")
     def test_process_lua_shim(self, tmp_path):
         """--process process-openmaptiles.lua EXECUTES the reference's
         shipped Lua through the built-in interpreter (22 Monaco tiles,
         the frozen OMT count); a missing Lua file errors."""
         out = str(tmp_path / "omt.mbtiles")
-        r = run_cli("--input", "/root/reference/test/monaco.pbf",
-                    "--output", out, "--quiet", "--process",
-                    "/root/reference/resources/process-openmaptiles.lua")
+        r = run_cli("--input", MONACO, "--output", out, "--quiet",
+                    "--process", OMT_LUA)
         assert r.returncode == 0, r.stderr[-500:]
         from tilemaker_ray.sinks.mbtiles import read_mbtiles
         assert len(read_mbtiles(out)) == 22
-        r = run_cli("--input", "/root/reference/test/monaco.pbf",
+        r = run_cli("--input", MONACO,
                     "--output", out, "--process", "custom.lua")
         assert r.returncode != 0 and "profile" in r.stderr
 
-    def test_multi_input_cli(self, tmp_path):
+    def test_multi_input_cli(self, osm_inputs, tmp_path):
         """Repeated --input unions entity streams (multi-input test in
         test_osm.py checks tile parity; this checks the CLI surface)."""
         import struct
-        src = "/root/reference/test/monaco.pbf"
-        raw = open(src, "rb").read()
-        pos, sections = 0, []
-        while pos < len(raw):
-            (hl,) = struct.unpack(">I", raw[pos:pos + 4])
-            hdr = raw[pos + 4:pos + 4 + hl]
-            i, typ, datasize = 0, None, None
-            while i < len(hdr):
-                tag = hdr[i]; i += 1
-                f, w = tag >> 3, tag & 7
-                v, sh = 0, 0
-                while w in (0, 2):
-                    b = hdr[i]; i += 1
-                    v |= (b & 0x7F) << sh; sh += 7
-                    if not b & 0x80:
-                        break
-                if w == 2:
-                    if f == 1:
-                        typ = hdr[i:i + v].decode()
-                    i += v
-                elif w == 0 and f == 3:
-                    datasize = v
-            total = 4 + hl + datasize
-            sections.append((pos, total, typ)); pos += total
-        header = next(raw[o:o + n] for o, n, t in sections
-                      if t == "OSMHeader")
-        data = [(o, n) for o, n, t in sections if t == "OSMData"]
-        a, b = str(tmp_path / "a.osm.pbf"), str(tmp_path / "b.osm.pbf")
-        for name, sel in ((a, data[::2]), (b, data[1::2])):
-            with open(name, "wb") as f:
-                f.write(header)
-                for o, n in sel:
-                    f.write(raw[o:o + n])
-        out = str(tmp_path / "multi.mbtiles")
-        r = run_cli("--input", a, "--input", b, "--output", out, "--quiet")
-        assert r.returncode == 0, r.stderr[-500:]
-        from tilemaker_ray.sinks.mbtiles import read_mbtiles
-        single = str(tmp_path / "single.mbtiles")
-        r = run_cli("--input", src, "--output", single, "--quiet")
-        assert r.returncode == 0
-        assert set(read_mbtiles(out)) == set(read_mbtiles(single))
+        for k, src in enumerate(osm_inputs):
+            raw = open(src, "rb").read()
+            pos, sections = 0, []
+            while pos < len(raw):
+                (hl,) = struct.unpack(">I", raw[pos:pos + 4])
+                hdr = raw[pos + 4:pos + 4 + hl]
+                i, typ, datasize = 0, None, None
+                while i < len(hdr):
+                    tag = hdr[i]; i += 1
+                    f, w = tag >> 3, tag & 7
+                    v, sh = 0, 0
+                    while w in (0, 2):
+                        b = hdr[i]; i += 1
+                        v |= (b & 0x7F) << sh; sh += 7
+                        if not b & 0x80:
+                            break
+                    if w == 2:
+                        if f == 1:
+                            typ = hdr[i:i + v].decode()
+                        i += v
+                    elif w == 0 and f == 3:
+                        datasize = v
+                total = 4 + hl + datasize
+                sections.append((pos, total, typ)); pos += total
+            header = next(raw[o:o + n] for o, n, t in sections
+                          if t == "OSMHeader")
+            data = [(o, n) for o, n, t in sections if t == "OSMData"]
+            a, b = str(tmp_path / f"a{k}.osm.pbf"), str(tmp_path / f"b{k}.osm.pbf")
+            for name, sel in ((a, data[::2]), (b, data[1::2])):
+                with open(name, "wb") as f:
+                    f.write(header)
+                    for o, n in sel:
+                        f.write(raw[o:o + n])
+            out = str(tmp_path / f"multi{k}.mbtiles")
+            r = run_cli("--input", a, "--input", b, "--output", out, "--quiet")
+            assert r.returncode == 0, r.stderr[-500:]
+            from tilemaker_ray.sinks.mbtiles import read_mbtiles
+            single = str(tmp_path / f"single{k}.mbtiles")
+            r = run_cli("--input", src, "--output", single, "--quiet")
+            assert r.returncode == 0
+            assert set(read_mbtiles(out)) == set(read_mbtiles(single))

@@ -5,6 +5,8 @@ parity against a hand-written Python profile, and the gold gate: the
 reference's SHIPPED process-openmaptiles.lua reproduces the hand-port's
 frozen Monaco per-layer counts through the full engine."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,22 @@ from tilemaker_ray.lua import (LuaError, LuaInterpreter, LuaTable,
                                lua_pattern_to_re, lua_tonumber,
                                lua_tostring)
 
-EXAMPLE_LUA = "/root/reference/resources/process-example.lua"
-OMT_LUA = "/root/reference/resources/process-openmaptiles.lua"
-MONACO = "/root/reference/test/monaco.pbf"
+from conftest import MONACO, REFERENCE, ROOT
+
+EXAMPLE_LUA = os.path.join(ROOT, "tilemaker_ray", "profiles",
+                           "process-example.lua")
+REFERENCE_EXAMPLE_LUA = os.path.join(REFERENCE, "resources",
+                                     "process-example.lua")
+OMT_LUA = os.path.join(REFERENCE, "resources", "process-openmaptiles.lua")
+COASTLINE_LUA = os.path.join(REFERENCE, "resources", "process-coastline.lua")
+DEBUG_LUA = os.path.join(REFERENCE, "resources", "process-debug.lua")
+DEBUG_CONFIG = os.path.join(REFERENCE, "resources", "config-debug.json")
+
+
+def needs(*paths):
+    """Skip unless every one of `paths` exists."""
+    missing = [p for p in paths if not os.path.exists(p)]
+    return pytest.mark.skipif(bool(missing), reason=f"needs {missing}")
 
 
 def run(src: str) -> dict:
@@ -191,7 +206,7 @@ class TestInterpreter:
         import glob
 
         from tilemaker_ray.lua import LuaFunction
-        for path in sorted(glob.glob("/root/reference/resources/*.lua")):
+        for path in sorted(glob.glob(os.path.join(REFERENCE, "resources", "*.lua"))):
             L = LuaInterpreter()
             L.run(open(path).read())
             assert isinstance(L.globals.get("way_function"),
@@ -199,9 +214,10 @@ class TestInterpreter:
 
 
 class TestLuaProfileTwinParity:
-    """process-example.lua through LuaProfile == a hand-written Python
-    twin of the same logic, feature-for-feature (layer, geom type,
-    minzoom, attrs incl. kinds/minzooms)."""
+    """process-example.lua (profiles/process-example.lua, and the
+    reference's where it exists) through LuaProfile == a hand-written
+    Python twin of the same logic, feature-for-feature (layer, geom
+    type, minzoom, attrs incl. kinds/minzooms)."""
 
     class PyExampleTwin:
         """Manual port of process-example.lua (node+way hooks)."""
@@ -302,7 +318,6 @@ class TestLuaProfileTwinParity:
 
     def test_example_profile_twin(self):
         from tilemaker_ray.profiles.lua_profile import LuaProfile
-        lua = LuaProfile(EXAMPLE_LUA)
         twin = self.PyExampleTwin()
         line = np.array([[7.42, 43.5], [7.43, 43.51], [7.44, 43.52]])
         ring = np.array([[7.4, 43.5], [7.41, 43.5], [7.41, 43.51],
@@ -324,17 +339,21 @@ class TestLuaProfileTwinParity:
             ("way", 15, (ring, True), {"building": "yes"}),
             ("way", 16, (line, False), {"barrier": "fence"}),
         ]
-        got = self._feats(lua, entities)
         want = self._feats(twin, entities)
-        assert got == want
-        assert len(got) == 12   # the fixture exercises every branch
-        # node_keys parsed from the script drive the same prefilter
-        assert lua.node_filter.accept({"amenity": "cafe"})
-        assert not lua.node_filter.accept({"name": "x"})
+        assert len(want) == 12   # the fixture exercises every branch
         assert twin.node_filter.accept({"amenity": "cafe"}) and \
             not twin.node_filter.accept({"name": "x"})
+        scripts = [EXAMPLE_LUA] + ([REFERENCE_EXAMPLE_LUA] if os.path.exists(
+            REFERENCE_EXAMPLE_LUA) else [])
+        for script in scripts:
+            lua = LuaProfile(script)
+            assert self._feats(lua, entities) == want, script
+            # node_keys parsed from the script drive the same prefilter
+            assert lua.node_filter.accept({"amenity": "cafe"})
+            assert not lua.node_filter.accept({"name": "x"})
 
 
+@needs(OMT_LUA, MONACO)
 @pytest.mark.usefixtures("ray_session")
 class TestLuaMonacoGold:
     """The reference's SHIPPED process-openmaptiles.lua, interpreted,
@@ -432,6 +451,7 @@ line2]]
 
 
 class TestLuaProfileMore:
+    @needs(OMT_LUA)
     def test_attribute_function_parity_with_handport(self):
         """The Lua OMT attribute_function (shapefile remap) equals the
         hand-port's on every branch."""
@@ -485,6 +505,7 @@ class TestLuaProfileMore:
         assert isinstance(prof.lua.globals["seen"], str)
 
 
+@needs(OMT_LUA, MONACO)
 @pytest.mark.usefixtures("ray_session")
 class TestLuaMonacoBytes:
     """BYTE parity: Monaco rendered through the interpreted shipped
@@ -704,6 +725,7 @@ class TestVarargs:
             run("function f() return ... end f()")
 
 
+@needs(MONACO, DEBUG_CONFIG, DEBUG_LUA)
 @pytest.mark.usefixtures("ray_session")
 class TestLuaDebugProfile:
     """The reference's 538-line process-debug.lua (the split-layer
@@ -717,10 +739,8 @@ class TestLuaDebugProfile:
         from tilemaker_ray.profiles.lua_profile import LuaProfile
         feats = osm_feature_dataset(
             MONACO,
-            Config.from_json(
-                "/root/reference/resources/config-debug.json"),
-            profile=LuaProfile(
-                "/root/reference/resources/process-debug.lua"))
+            Config.from_json(DEBUG_CONFIG),
+            profile=LuaProfile(DEBUG_LUA))
         counts = feats.to_pandas().groupby("layer").size().to_dict()
         assert counts == {
             "aeroway": 14, "building": 1285, "housenumber": 340,
@@ -735,6 +755,7 @@ class TestLuaDebugProfile:
         }
 
 
+@needs(COASTLINE_LUA, OMT_LUA, MONACO)
 @pytest.mark.usefixtures("ray_session")
 class TestLuaCoastlineExternal:
     """The shipped process-coastline.lua's attribute_function drives
@@ -768,8 +789,7 @@ class TestLuaCoastlineExternal:
         for ld in cfg.layers:
             if ld.name == "ocean":
                 ld.source = shp
-        prof = LuaProfile(
-            "/root/reference/resources/process-coastline.lua")
+        prof = LuaProfile(COASTLINE_LUA)
         ext = external_features_table(cfg, prof.attribute_function)
         assert ext.num_rows == 1
         assert ext.column("layer")[0].as_py() == "ocean"
@@ -778,8 +798,7 @@ class TestLuaCoastlineExternal:
 
         # full engine pass with the OMT Lua (the coastline script has
         # empty node/way hooks) just for the external layer rendering
-        omt = LuaProfile(
-            "/root/reference/resources/process-openmaptiles.lua")
+        omt = LuaProfile(OMT_LUA)
         df = osm_tile_dataset(MONACO, cfg, profile=omt).to_pandas()
         found = False
         for _, row in df[df.zoom == 14].iterrows():

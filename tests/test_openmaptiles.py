@@ -4,6 +4,7 @@ the classification logic + a Monaco e2e with frozen per-layer counts
 config-openmaptiles.json)."""
 
 import gzip
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tilemaker_ray.profile import Emitter
 from tilemaker_ray.profiles.openmaptiles import (
     OpenMapTilesProfile, calc_rank, capital_level, openmaptiles_config)
 
-MONACO = "/root/reference/test/monaco.pbf"
+from conftest import MONACO
 
 
 def _emit(profile=None, cfg=None):
@@ -240,6 +241,7 @@ class TestNodeFunction:
         assert {f.layer for f in feats} == {"housenumber", "poi_detail"}
 
 
+@pytest.mark.skipif(not os.path.exists(MONACO), reason=f"needs {MONACO}")
 @pytest.mark.usefixtures("ray_session")
 class TestMonacoE2E:
     """Frozen Monaco per-layer counts through the FULL OpenMapTiles
@@ -298,7 +300,7 @@ class TestExternalOceanLayer:
                   [("featurecla", "C", 20, 0)], [{"featurecla": "Ocean"}])
         return shp
 
-    def test_external_table_and_e2e(self, tmp_path):
+    def test_external_table_and_e2e(self, osm_inputs, tmp_path):
         from tilemaker_ray.pipelines.osm import (external_features_table,
                                                  osm_tile_dataset)
         from tilemaker_ray.mvt import decode_tile
@@ -315,16 +317,17 @@ class TestExternalOceanLayer:
         assert ext.column("geom_type")[0].as_py() == gc.POLYGON_
         assert '"class"' in ext.column("attrs")[0].as_py()
 
-        df = osm_tile_dataset(MONACO, cfg, profile=prof).to_pandas()
-        # ocean write_to=water: some tile's water layer must now carry
-        # a class=ocean polygon
-        found = False
-        for _, row in df[df.zoom == 14].iterrows():
-            dec = decode_tile(gzip.decompress(row.mvt))
-            for f in dec.get("water", {}).get("features", []):
-                if f["tags"].get("class") == "ocean":
-                    found = True
+        for src in osm_inputs:
+            df = osm_tile_dataset(src, cfg, profile=prof).to_pandas()
+            # ocean write_to=water: some tile's water layer must now carry
+            # a class=ocean polygon
+            found = False
+            for _, row in df[df.zoom == 14].iterrows():
+                dec = decode_tile(gzip.decompress(row.mvt))
+                for f in dec.get("water", {}).get("features", []):
+                    if f["tags"].get("class") == "ocean":
+                        found = True
+                        break
+                if found:
                     break
-            if found:
-                break
-        assert found
+            assert found

@@ -1,5 +1,6 @@
-"""OSM pipeline e2e on the reference's Monaco fixture and on a seeded
-synthetic PBF (scripts/synth_pbf.py)."""
+"""OSM pipeline e2e on the seeded OSM fixture (tests/conftest.py
+`osm_pbf`), on a smaller seeded synthetic PBF (scripts/synth_pbf.py),
+and on the reference's Monaco extract where it exists."""
 
 import gzip
 import os
@@ -13,7 +14,7 @@ from tilemaker_ray import tilemath as tm
 from tilemaker_ray.geom import core as gc
 from tilemaker_ray.mvt import decode_tile
 
-MONACO = "/root/reference/test/monaco.pbf"
+from conftest import MONACO
 
 
 @pytest.fixture(scope="module")
@@ -33,41 +34,56 @@ def synth_pbf(tmp_path_factory):
 
 @pytest.mark.usefixtures("ray_session")
 class TestOsmPipeline:
-    def test_entity_counts(self):
+    def test_entity_counts(self, osm_pbf):
         from tilemaker_ray.pipelines.osm import entity_dataset
-        df = entity_dataset(MONACO).to_pandas()
-        counts = df.kind.value_counts().to_dict()
-        # golden counts from the reference's own test
-        assert counts["node"] == 30477
-        assert counts["way"] == 4825
-        assert counts["relation"] == 285
+        path, record = osm_pbf
+        # golden counts: the writer's, and the reference's own test's
+        cases = [(path, record["counts"])]
+        if os.path.exists(MONACO):
+            cases.append((MONACO, {"nodes": 30477, "ways": 4825,
+                                   "relations": 285}))
+        for src, want in cases:
+            df = entity_dataset(src).to_pandas()
+            counts = df.kind.value_counts().to_dict()
+            assert counts["node"] == want["nodes"]
+            assert counts["way"] == want["ways"]
+            assert counts["relation"] == want["relations"]
 
-    def test_way_assembly_join(self):
+    def test_way_assembly_join(self, osm_pbf):
         from tilemaker_ray.pipelines.osm import assembled_ways
-        w = assembled_ways(MONACO).to_pandas()
-        assert len(w) == 4825  # every way's nodes resolve (full extract)
-        soccer = w[w.id == 4224978].iloc[0]
-        assert soccer.n_refs == 5
-        assert soccer.closed
-        kind, parts = gc.unpack(soccer.geom)
-        pts = parts[0]
-        # all coordinates inside the Monaco bbox
-        assert (pts[:, 0] > 7.40).all() and (pts[:, 0] < 7.45).all()
-        lat = tm.latp2lat(pts[:, 1])
-        assert (lat > 43.71).all() and (lat < 43.76).all()
+        path, record = osm_pbf
+        # the fixture's first building way; Monaco's soccer pitch
+        cases = [(path, record["counts"]["ways"], record["way"]["id"])]
+        if os.path.exists(MONACO):
+            cases.append((MONACO, 4825, 4224978))
+        for src, n_ways, way_id in cases:
+            w = assembled_ways(src).to_pandas()
+            assert len(w) == n_ways  # every way's nodes resolve (full extract)
+            way = w[w.id == way_id].iloc[0]
+            assert way.n_refs == 5
+            assert way.closed
+            kind, parts = gc.unpack(way.geom)
+            pts = parts[0]
+            # all coordinates inside the Monaco bbox
+            assert (pts[:, 0] > 7.40).all() and (pts[:, 0] < 7.45).all()
+            lat = tm.latp2lat(pts[:, 1])
+            assert (lat > 43.71).all() and (lat < 43.76).all()
 
-    def test_multipolygon_assembly(self):
+    def test_multipolygon_assembly(self, osm_inputs):
         from tilemaker_ray.pipelines.osm import assembled_multipolygons
-        mp = assembled_multipolygons(MONACO).to_pandas()
-        assert len(mp) > 10
-        # rings are closed and correctly wound
-        kind, polys = gc.unpack(mp.iloc[0].geom)
-        for rings in polys:
-            assert (rings[0][0] == rings[0][-1]).all()
-            assert gc.ring_signed_area(rings[0]) < 0  # outer CW
-            for inner in rings[1:]:
-                assert gc.ring_signed_area(inner) > 0
+        for src in osm_inputs:
+            mp = assembled_multipolygons(src).to_pandas()
+            assert len(mp) > 10
+            # rings are closed and correctly wound
+            kind, polys = gc.unpack(mp.iloc[0].geom)
+            for rings in polys:
+                assert (rings[0][0] == rings[0][-1]).all()
+                assert gc.ring_signed_area(rings[0]) < 0  # outer CW
+                for inner in rings[1:]:
+                    assert gc.ring_signed_area(inner) > 0
 
+    # Monaco's density: no in-repo input stands in for these bounds
+    @pytest.mark.skipif(not os.path.exists(MONACO), reason=f"needs {MONACO}")
     def test_monaco_tiles(self):
         from tilemaker_ray.pipelines.osm import osm_tile_dataset
         df = osm_tile_dataset(MONACO).to_pandas()
@@ -89,51 +105,65 @@ class TestOsmPipeline:
 
 @pytest.mark.usefixtures("ray_session")
 class TestRelationSideTables:
-    def test_scan_and_membership(self):
+    def test_scan_and_membership(self, osm_pbf, osm_inputs):
         from tilemaker_ray.pipelines.osm import OsmProfile, relation_scan_tables
-        wm, nm, rt = relation_scan_tables(MONACO, scan_fn=OsmProfile.relation_scan,
-                                          postscan_fn=OsmProfile.relation_postscan)
-        assert len(rt) > 10  # Monaco has bus/route relations
-        assert all(t.get("type") in ("route", "route_master") for t in rt.values())
-        # membership map points ways at accepted relations
-        some_way, rels = next(iter(wm.items()))
-        assert all(isinstance(r, int) for r, _ in rels)
-        # postscan: any route with a route_master parent carrying network
-        # inherits it
-        inherited = [t for t in rt.values()
-                     if t.get("type") == "route" and "network" in t]
-        assert len(inherited) >= 0  # presence depends on fixture; no crash
+        path, record = osm_pbf
+        masters = record["route_masters"]
+        tables = {src: relation_scan_tables(
+            src, scan_fn=OsmProfile.relation_scan,
+            postscan_fn=OsmProfile.relation_postscan)
+            for src in osm_inputs}
+        for src, (wm, nm, rt) in tables.items():
+            if src == path:
+                assert len(rt) == len(record["routes"]) + len(masters)
+            else:
+                assert len(rt) > 10  # Monaco has bus/route relations
+            assert all(t.get("type") in ("route", "route_master")
+                       for t in rt.values())
+            # membership map points ways at accepted relations
+            some_way, rels = next(iter(wm.items()))
+            assert all(isinstance(r, int) for r, _ in rels)
+        # postscan (M14): exactly the routes whose route_master carries
+        # network inherit it (the fixture's routes carry none of their own)
+        rt = tables[path][2]
+        inherited = {rid: t["network"] for rid, t in rt.items()
+                     if t.get("type") == "route" and "network" in t}
+        assert inherited == {r: m["tags"]["network"] for m in masters.values()
+                             if "network" in m["tags"] for r in m["routes"]}
 
-    def test_route_ref_reaches_tiles(self):
+    def test_route_ref_reaches_tiles(self, osm_inputs):
         import gzip
         from tilemaker_ray.mvt import decode_tile
         from tilemaker_ray.pipelines.osm import osm_tile_dataset
-        df = osm_tile_dataset(MONACO).to_pandas()
-        found = False
-        for _, row in df[df.zoom == 14].iterrows():
-            dec = decode_tile(gzip.decompress(row.mvt))
-            for f in dec.get("roads", {}).get("features", []):
-                if "route_ref" in f["tags"]:
-                    found = True
-        assert found  # Monaco bus routes tag member highways
+        for src in osm_inputs:
+            df = osm_tile_dataset(src).to_pandas()
+            found = False
+            for _, row in df[df.zoom == 14].iterrows():
+                dec = decode_tile(gzip.decompress(row.mvt))
+                for f in dec.get("roads", {}).get("features", []):
+                    if "route_ref" in f["tags"]:
+                        found = True
+            assert found  # bus routes tag member highways
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_combine_polygons_below():
+def test_combine_polygons_below(osm_inputs):
     """buildings combine below z14: fewer features at z13 than distinct
     building polygons in the same area, same count at z14."""
     import gzip
     from tilemaker_ray.mvt import decode_tile
     from tilemaker_ray.pipelines.osm import osm_tile_dataset
-    df = osm_tile_dataset(MONACO).to_pandas()
-    z13 = df[df.zoom == 13].sort_values("n_features", ascending=False).iloc[0]
-    dec13 = decode_tile(gzip.decompress(z13.mvt))
-    feats13 = dec13.get("buildings", {}).get("features", [])
-    # combined: multipolygon features with many parts
-    parts13 = sum(len(f["parts"]) for f in feats13)
-    assert parts13 > len(feats13)  # combining actually happened
-    # untagged buildings are all compatible -> collapse to few features
-    assert len(feats13) < parts13 / 2
+    for src in osm_inputs:
+        df = osm_tile_dataset(src).to_pandas()
+        z13 = df[df.zoom == 13].sort_values("n_features",
+                                            ascending=False).iloc[0]
+        dec13 = decode_tile(gzip.decompress(z13.mvt))
+        feats13 = dec13.get("buildings", {}).get("features", [])
+        # combined: multipolygon features with many parts
+        parts13 = sum(len(f["parts"]) for f in feats13)
+        assert parts13 > len(feats13)  # combining actually happened
+        # untagged buildings are all compatible -> collapse to few features
+        assert len(feats13) < parts13 / 2
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -216,8 +246,8 @@ def test_way_assembler_lru_eviction_bounded(synth_pbf):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_multi_input_pbf_matches_single(tmp_path):
-    """Reference multi-input semantics (options_parser.cpp:22): monaco
+def test_multi_input_pbf_matches_single(osm_inputs, tmp_path):
+    """Reference multi-input semantics (options_parser.cpp:22): an extract
     split blob-by-blob into two .pbf files — ways in file B reference
     nodes that live only in file A — must produce the identical tileset
     through the shared node store."""
@@ -225,51 +255,52 @@ def test_multi_input_pbf_matches_single(tmp_path):
 
     from tilemaker_ray.pipelines.osm import osm_tile_dataset
 
-    src = "/root/reference/test/monaco.pbf"
-    raw = open(src, "rb").read()
-    # walk the BlobHeader framing: [4-byte len][BlobHeader][Blob]
-    pos, sections = 0, []
-    while pos < len(raw):
-        (hl,) = struct.unpack(">I", raw[pos:pos + 4])
-        hdr = raw[pos + 4:pos + 4 + hl]
-        i, typ, datasize = 0, None, None
-        while i < len(hdr):
-            tag = hdr[i]; i += 1
-            f, w = tag >> 3, tag & 7
-            v, sh = 0, 0
-            while w in (0, 2):
-                b = hdr[i]; i += 1
-                v |= (b & 0x7F) << sh; sh += 7
-                if not b & 0x80:
-                    break
-            if w == 2:
-                if f == 1:
-                    typ = hdr[i:i + v].decode()
-                i += v
-            elif w == 0 and f == 3:
-                datasize = v
-        total = 4 + hl + datasize
-        sections.append((pos, total, typ))
-        pos += total
-    header = next(raw[o:o + n] for o, n, t in sections if t == "OSMHeader")
-    data = [(o, n) for o, n, t in sections if t == "OSMData"]
-    assert len(data) >= 4
-    a, b = str(tmp_path / "a.osm.pbf"), str(tmp_path / "b.osm.pbf")
-    with open(a, "wb") as f:
-        f.write(header)
-        for o, n in data[::2]:
-            f.write(raw[o:o + n])
-    with open(b, "wb") as f:
-        f.write(header)
-        for o, n in data[1::2]:
-            f.write(raw[o:o + n])
+    for src in osm_inputs:
+        raw = open(src, "rb").read()
+        # walk the BlobHeader framing: [4-byte len][BlobHeader][Blob]
+        pos, sections = 0, []
+        while pos < len(raw):
+            (hl,) = struct.unpack(">I", raw[pos:pos + 4])
+            hdr = raw[pos + 4:pos + 4 + hl]
+            i, typ, datasize = 0, None, None
+            while i < len(hdr):
+                tag = hdr[i]; i += 1
+                f, w = tag >> 3, tag & 7
+                v, sh = 0, 0
+                while w in (0, 2):
+                    b = hdr[i]; i += 1
+                    v |= (b & 0x7F) << sh; sh += 7
+                    if not b & 0x80:
+                        break
+                if w == 2:
+                    if f == 1:
+                        typ = hdr[i:i + v].decode()
+                    i += v
+                elif w == 0 and f == 3:
+                    datasize = v
+            total = 4 + hl + datasize
+            sections.append((pos, total, typ))
+            pos += total
+        header = next(raw[o:o + n] for o, n, t in sections if t == "OSMHeader")
+        data = [(o, n) for o, n, t in sections if t == "OSMData"]
+        assert len(data) >= 4
+        a = str(tmp_path / f"a.{os.path.basename(src)}")
+        b = str(tmp_path / f"b.{os.path.basename(src)}")
+        with open(a, "wb") as f:
+            f.write(header)
+            for o, n in data[::2]:
+                f.write(raw[o:o + n])
+        with open(b, "wb") as f:
+            f.write(header)
+            for o, n in data[1::2]:
+                f.write(raw[o:o + n])
 
-    cols = ["zoom", "tile_x", "tile_y", "n_features"]
-    single = (osm_tile_dataset(src).to_pandas()[cols]
-              .sort_values(cols[:3]).reset_index(drop=True))
-    multi = (osm_tile_dataset([a, b]).to_pandas()[cols]
-             .sort_values(cols[:3]).reset_index(drop=True))
-    pd.testing.assert_frame_equal(single, multi)
+        cols = ["zoom", "tile_x", "tile_y", "n_features"]
+        single = (osm_tile_dataset(src).to_pandas()[cols]
+                  .sort_values(cols[:3]).reset_index(drop=True))
+        multi = (osm_tile_dataset([a, b]).to_pandas()[cols]
+                 .sort_values(cols[:3]).reset_index(drop=True))
+        pd.testing.assert_frame_equal(single, multi)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -4,10 +4,12 @@ byte-parity, since the reference binary cannot be built in this sandbox
 (no boost/protobuf/lua; see BASELINE.md)."""
 
 import gzip
+import os
 import zlib
 
 import pytest
 
+from conftest import REFERENCE
 from tilemaker_ray.pipelines.osm import SignificantTags
 
 
@@ -56,43 +58,61 @@ class TestSignificantTagsVectors:
 
 class TestNewlineChunkVectors:
     """test/helpers.test.cpp getNewlineChunks vectors against the same
-    24-byte test.jsonl fixture."""
+    24-byte layout as its test.jsonl fixture: three lines, newlines at
+    offsets 2, 12 and 23. Written inline; the reference's own file is
+    checked too where it exists."""
 
-    FIXTURE = "/root/reference/test/test.jsonl"
+    REFERENCE_JSONL = os.path.join(REFERENCE, "test", "test.jsonl")
+    LINES = b'{}\n{"foo":1}\n{"bar":22}\n'
+
+    @pytest.fixture(autouse=True)
+    def _fixtures(self, tmp_path):
+        path = tmp_path / "test.jsonl"
+        path.write_bytes(self.LINES)
+        self.fixtures = [str(path)]
+        if os.path.exists(self.REFERENCE_JSONL):
+            self.fixtures.append(self.REFERENCE_JSONL)
 
     def _chunks(self, n):
-        """As (offset, length) pairs, the reference's representation
-        (get_newline_chunks returns [start, end) ranges)."""
+        """Per fixture, as (offset, length) pairs, the reference's
+        representation (get_newline_chunks returns [start, end) ranges)."""
         from tilemaker_ray.sources.geojson import get_newline_chunks
-        return [(s, e - s) for s, e in get_newline_chunks(self.FIXTURE, n)]
+        return [[(s, e - s) for s, e in get_newline_chunks(path, n)]
+                for path in self.fixtures]
 
     def test_one_chunk(self):
-        assert self._chunks(1) == [(0, 24)]
+        for got in self._chunks(1):
+            assert got == [(0, 24)]
 
     def test_two_chunks(self):
-        assert self._chunks(2) == [(0, 12), (12, 12)]
+        for got in self._chunks(2):
+            assert got == [(0, 12), (12, 12)]
 
     def test_three_chunks_lopsided(self):
-        assert self._chunks(3) == [(0, 12), (12, 11), (23, 1)]
+        for got in self._chunks(3):
+            assert got == [(0, 12), (12, 11), (23, 1)]
 
     def test_many_chunks_devolves_to_per_line(self):
-        assert self._chunks(128) == [(0, 2), (2, 10), (12, 11), (23, 1)]
+        for got in self._chunks(128):
+            assert got == [(0, 2), (2, 10), (12, 11), (23, 1)]
 
     def test_chunks_parse_to_all_lines(self):
         # every line lands in exactly one chunk regardless of split
         import json
-        with open(self.FIXTURE, "rb") as f:
-            want = [json.loads(l) for l in f.read().splitlines() if l.strip()]
         from tilemaker_ray.sources.geojson import get_newline_chunks
-        for n in (1, 2, 3, 4, 128):
-            got = []
-            with open(self.FIXTURE, "rb") as f:
-                for s, e in get_newline_chunks(self.FIXTURE, n):
-                    f.seek(s)
-                    for l in f.read(e - s).splitlines():
-                        if l.strip():
-                            got.append(json.loads(l))
-            assert got == want, n
+        for path in self.fixtures:
+            with open(path, "rb") as f:
+                want = [json.loads(l) for l in f.read().splitlines()
+                        if l.strip()]
+            for n in (1, 2, 3, 4, 128):
+                got = []
+                with open(path, "rb") as f:
+                    for s, e in get_newline_chunks(path, n):
+                        f.seek(s)
+                        for l in f.read(e - s).splitlines():
+                            if l.strip():
+                                got.append(json.loads(l))
+                assert got == want, (path, n)
 
 
 class TestCompressionRoundTrip:
