@@ -19,8 +19,8 @@ from typing import Any
 def entry() -> Any:
     """Flagship pipeline: synthetic Common-Crawl-style pages (deterministic,
     sized for sf0.001) → feature extraction (Ray tasks) → tile assignment
-    → groupby((z6x,z6y)) → per-tile MVT render. Returns the tile Dataset
-    (zoom, tile_x, tile_y, mvt, n_features, n_bytes)."""
+    → groupby("pk") exchange → per-tile MVT render. Returns the tile
+    Dataset (zoom, tile_x, tile_y, mvt, n_features, n_bytes)."""
     from tilemaker_ray.sources.pages import pages_path, rows_for_sf
     from tilemaker_ray.pipelines.flagship import tile_dataset
 
@@ -122,39 +122,6 @@ def _token_counts(sf_dir: str):
     a = a.merge(text.q_lm_tercile(sf_dir, lm=lmds), on="doc_id")
     return (a.merge(b, on="doc_id")
              .sort_values("doc_id").reset_index(drop=True))
-
-
-def _s2_zorder(sf_dir: str):
-    """s2_cells ⊕ zorder_encode — both full per-event encodings (one
-    row per event_id), so one joined driver row checks every column of
-    both ops."""
-    from tilemaker_ray.ops import geospatial, s2ops
-
-    a = s2ops.q_s2_cells(sf_dir)
-    b = geospatial.q_zorder_encode(sf_dir)
-    return (a.merge(b, on="event_id")
-             .sort_values("event_id").reset_index(drop=True))
-
-
-def _raster_cells_runs(sf_dir: str):
-    """rasterize ∪ raster_runs, tagged by method — a cell is a
-    degenerate run (x0 = x1 = cell_x), so the two raster→vector stages
-    share one union schema (method, cell_y, x0, x1, n, sum_val); run
-    rows carry n = run length and sum_val = 0."""
-    import pandas as pd
-
-    from tilemaker_ray.ops import raster
-
-    a = raster.q_rasterize(sf_dir)
-    cells = pd.DataFrame({
-        "method": "cell", "cell_y": a["cell_y"], "x0": a["cell_x"],
-        "x1": a["cell_x"], "n": a["n"], "sum_val": a["sum_val"]})
-    b = raster.q_raster_runs(sf_dir)
-    runs = pd.DataFrame({
-        "method": "run", "cell_y": b["cell_y"], "x0": b["x0"],
-        "x1": b["x1"], "n": b["len"],
-        "sum_val": pd.Series(0, index=b.index, dtype="int64")})
-    return pd.concat([cells, runs], ignore_index=True)
 
 
 def _content_samples(sf_dir: str):
@@ -335,18 +302,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
     (count + bit_xor), token_count carries normalize_text (and the BPE
     variant) + lm_bits + lm_tercile + seq_pack (packing positions via
     distributed prefix sum), hash_sample carries stratified_sample +
-    weighted_sample + lang_balance, cosine_topk carries rerank_topk,
-    s2_cells carries zorder_encode (same per-event grain), rasterize
-    carries raster_runs (tagged union — a cell is a length-1 run);
-    hex_bin is covered by hex_kring's `n` column.  Rows-only pipelines
-    (approximate-by-construction, iterative, codec-bound, or MVT-blob
-    outputs gated by golden fixtures) come last."""
-    from tilemaker_ray.ops import (dedup, geospatial, hex, raster,
-                                   relational, s2ops, sampling, similarity,
+    weighted_sample + lang_balance, cosine_topk carries rerank_topk.
+    Rows-only pipelines (approximate-by-construction, iterative,
+    codec-bound, or MVT-blob outputs gated by golden fixtures) come
+    last."""
+    from tilemaker_ray.ops import (dedup, relational, sampling, similarity,
                                    text, web)
 
     return {
-        # --- oracled (44 entries; every one has an oracle_sql row) ---
+        # --- oracled (31 entries; every one has an oracle_sql row) ---
         # flagship engine path with an exact SQL oracle (points slice:
         # extract actors → tile assign → pk shuffle → O3 sort +
         # feature_limit + combine_points assembly; VERDICT r2 #6).
@@ -357,32 +321,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # deterministic content-hash sampling (resume/retry-stable):
         # Bernoulli + per-lang stratified top-k, one tagged-union row
         "hash_sample": _content_samples,
-        # geospatial core (tile math / joins / topk — SURVEY §2.4-2.6)
-        "tile_assign_points": geospatial.q_tile_assign_points,
-        "tile_zoom_rollup": geospatial.q_tile_zoom_rollup,
-        "pip_join": geospatial.q_pip_join,
-        "pip_semi_join": geospatial.q_pip_semi_join,
-        # S2 cell index (north-rule "H3/S2"): leaf + level-12 cell
-        # tokens (oracle = generated Hilbert-descent recursive CTE) and
-        # the covering-prefiltered PIP join (oracle = pip_join's SQL).
-        # s2_cells carries zorder_encode (same per-event grain).
-        "s2_cells": _s2_zorder,
-        "s2_pip_join": s2ops.q_s2_pip_join,
-        "knn": geospatial.q_knn,
-        "radius_join": geospatial.q_radius_join,
-        # zonal statistics (raster/vector): per-zone integer-exact
-        # count/sum/min/max over the broadcast rectangle layer
-        "zonal_stats": geospatial.q_zonal_stats,
-        "grouped_topk": geospatial.q_grouped_topk,
-        # hex-grid binning + ring-1 rollup (planar H3-style axial grid;
-        # the `n` column is the bin count, covering hex_bin too)
-        "hex_kring": hex.q_hex_kring,
-        # raster<->vector (north rule): sparse rasterize + run-length
-        # vectorize (one tagged-union row — a cell is a length-1 run),
-        # distributed 4-connected components (per-block CCL + rim-cell
-        # union-find)
-        "rasterize": _raster_cells_runs,
-        "raster_components": raster.q_raster_components,
         # relational surface (groupby/join/sort/window)
         "lineitem_agg": relational.q_lineitem_agg,
         "order_revenue_topk": relational.q_order_revenue_topk,
@@ -451,9 +389,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # "fingerprint" row as exact per-doc count+bit_xor — the
         # exploded-rows variant was driver-green in round 3 and stays
         # covered by tests/test_text.py)
-        # ring-traced polygonize (ring geometry round-trip-tested vs
-        # fill_rings in unit tests)
-        "raster_polygonize": raster.q_raster_polygonize,
         # approximate-by-construction near-dup search (recall-tested
         # vs the exact blocked variant in unit tests)
         "cosine_dup_pairs_ivf": similarity.q_cosine_dup_pairs_ivf,
@@ -503,16 +438,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    from tilemaker_ray.ops import (dedup, geospatial, hex, raster,
-                                   relational, s2ops, sampling, similarity,
-                                   text)
+    from tilemaker_ray.ops import dedup, relational, sampling, similarity, text
 
     out: dict[str, str] = {}
     out.update(sampling.ORACLES)
-    out.update(geospatial.ORACLES)
-    out.update(s2ops.ORACLES)
-    out.update(raster.ORACLES)
-    out.update(hex.ORACLES)
     out.update(relational.ORACLES)
     out.update(text.ORACLES)
     out.update(dedup.ORACLES)
@@ -574,21 +503,6 @@ def oracle_sql() -> dict[str, str]:
         FROM ({ct}) c JOIN ({rerank_topk_oracle_sql()}) r
           ON c.query_id = r.query_id AND c.rank = r.rank
         ORDER BY c.query_id, c.rank
-    """
-    s2c, zo = out.pop("s2_cells"), out.pop("zorder_encode")
-    out["s2_cells"] = f"""
-        SELECT s.event_id, s.token12, s.token30, z.z_order
-        FROM ({s2c}) s JOIN ({zo}) z ON s.event_id = z.event_id
-    """
-    ra, ru = out.pop("rasterize"), out.pop("raster_runs")
-    out["rasterize"] = f"""
-        SELECT 'cell' AS method, cell_y, cell_x AS x0, cell_x AS x1,
-               n, sum_val
-        FROM ({ra})
-        UNION ALL
-        SELECT 'run' AS method, cell_y, x0, x1, len AS n,
-               CAST(0 AS BIGINT) AS sum_val
-        FROM ({ru})
     """
     h, st = out.pop("hash_sample"), out.pop("stratified_sample")
     wt, lb = out.pop("weighted_sample"), out.pop("lang_balance")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import MONACO, REFERENCE, ROOT
+from conftest import MONACO, REFERENCE, ROOT, split_pbf
 
 OMT_LUA = os.path.join(REFERENCE, "resources", "process-openmaptiles.lua")
 
@@ -141,40 +141,9 @@ class TestCli:
     def test_multi_input_cli(self, osm_inputs, tmp_path):
         """Repeated --input unions entity streams (multi-input test in
         test_osm.py checks tile parity; this checks the CLI surface)."""
-        import struct
         for k, src in enumerate(osm_inputs):
-            raw = open(src, "rb").read()
-            pos, sections = 0, []
-            while pos < len(raw):
-                (hl,) = struct.unpack(">I", raw[pos:pos + 4])
-                hdr = raw[pos + 4:pos + 4 + hl]
-                i, typ, datasize = 0, None, None
-                while i < len(hdr):
-                    tag = hdr[i]; i += 1
-                    f, w = tag >> 3, tag & 7
-                    v, sh = 0, 0
-                    while w in (0, 2):
-                        b = hdr[i]; i += 1
-                        v |= (b & 0x7F) << sh; sh += 7
-                        if not b & 0x80:
-                            break
-                    if w == 2:
-                        if f == 1:
-                            typ = hdr[i:i + v].decode()
-                        i += v
-                    elif w == 0 and f == 3:
-                        datasize = v
-                total = 4 + hl + datasize
-                sections.append((pos, total, typ)); pos += total
-            header = next(raw[o:o + n] for o, n, t in sections
-                          if t == "OSMHeader")
-            data = [(o, n) for o, n, t in sections if t == "OSMData"]
             a, b = str(tmp_path / f"a{k}.osm.pbf"), str(tmp_path / f"b{k}.osm.pbf")
-            for name, sel in ((a, data[::2]), (b, data[1::2])):
-                with open(name, "wb") as f:
-                    f.write(header)
-                    for o, n in sel:
-                        f.write(raw[o:o + n])
+            split_pbf(src, a, b)
             out = str(tmp_path / f"multi{k}.mbtiles")
             r = run_cli("--input", a, "--input", b, "--output", out, "--quiet")
             assert r.returncode == 0, r.stderr[-500:]

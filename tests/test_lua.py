@@ -203,10 +203,16 @@ class TestInterpreter:
         assert lua_tonumber("ff", 16) == 255.0
 
     def test_shipped_profiles_all_load(self):
+        """Every in-repo profile, and the reference's where it exists,
+        runs top to bottom and defines way_function."""
         import glob
 
         from tilemaker_ray.lua import LuaFunction
-        for path in sorted(glob.glob(os.path.join(REFERENCE, "resources", "*.lua"))):
+        paths = sorted(
+            glob.glob(os.path.join(os.path.dirname(EXAMPLE_LUA), "*.lua"))
+            + glob.glob(os.path.join(REFERENCE, "resources", "*.lua")))
+        assert paths
+        for path in paths:
             L = LuaInterpreter()
             L.run(open(path).read())
             assert isinstance(L.globals.get("way_function"),

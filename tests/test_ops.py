@@ -40,22 +40,37 @@ def check(name, con):
     pd.testing.assert_frame_equal(a, b, check_dtype=False, rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("name", [
-    "tile_assign_points", "tile_zoom_rollup", "pip_join", "knn",
-    "s2_cells", "rasterize", "zonal_stats",
+ORACLED = [
     "lineitem_agg", "events_window", "token_count",
     "quality_score", "dedup_keep_first", "cosine_topk",
     "fingerprint", "ngram_jaccard_pairs",
-    "asof_join", "events_lag_delta", "global_quantile", "radius_join",
+    "asof_join", "events_lag_delta", "global_quantile",
     "top_terms", "kmeans_assign", "hash_sample",
     "group_quantile", "tfidf_top_term", "dedup_clusters",
     "lang_vocab", "orders_running_total",
     "events_hopping_window", "embedding_stats", "events_pivot",
     "decontaminate",
-])
+]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name", ORACLED)
 def test_oracle(name, con):
     check(name, con)
+
+
+def test_driver_contract_shape():
+    """Every oracle names a query (no merge constituent left behind),
+    every oracled query precedes every rows-only one (the ORDERING
+    CONTRACT in queries()), and test_oracle checks only oracled
+    queries."""
+    import __ray_entry__ as E
+
+    names, oracles = list(E.queries()), E.oracle_sql()
+    assert not set(oracles) - set(names)
+    oracled = [n in oracles for n in names]
+    assert oracled == sorted(oracled, reverse=True)
+    assert set(ORACLED) <= set(oracles)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -878,25 +893,6 @@ def test_gather_embeddings_skips_empty_shard_sentinels():
     ids, mat = _gather_embeddings(np.array([5, 15], np.int64),
                                   refs, ranges)
     assert sorted(ids.tolist()) == [5, 15] and mat.shape == (2, 4)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_zonal_stats_consistent_with_pip_join(con):
-    """Zonal stats over the rectangle layer must agree with the PIP
-    join it aggregates: total n_points == pair count, and per-zone
-    bounds hold (min <= max < ZONAL_VAL_MOD)."""
-    import __ray_entry__ as E
-
-    from tilemaker_ray.ops.geospatial import ZONAL_VAL_MOD, q_zonal_stats
-
-    z = q_zonal_stats(SF)
-    pairs = E.queries()["pip_join"](SF)
-    assert z["n_points"].sum() == len(pairs)
-    per_rect = pairs.groupby("rect_id").size()
-    zz = z.set_index("rect_id")["n_points"]
-    assert zz.sort_index().equals(per_rect.sort_index().astype("int64"))
-    assert (z["min_val"] <= z["max_val"]).all()
-    assert (z["max_val"] < ZONAL_VAL_MOD).all()
 
 
 @pytest.mark.usefixtures("ray_session")

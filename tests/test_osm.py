@@ -14,7 +14,7 @@ from tilemaker_ray import tilemath as tm
 from tilemaker_ray.geom import core as gc
 from tilemaker_ray.mvt import decode_tile
 
-from conftest import MONACO
+from conftest import MONACO, split_pbf
 
 
 @pytest.fixture(scope="module")
@@ -251,49 +251,12 @@ def test_multi_input_pbf_matches_single(osm_inputs, tmp_path):
     split blob-by-blob into two .pbf files — ways in file B reference
     nodes that live only in file A — must produce the identical tileset
     through the shared node store."""
-    import struct
-
     from tilemaker_ray.pipelines.osm import osm_tile_dataset
 
     for src in osm_inputs:
-        raw = open(src, "rb").read()
-        # walk the BlobHeader framing: [4-byte len][BlobHeader][Blob]
-        pos, sections = 0, []
-        while pos < len(raw):
-            (hl,) = struct.unpack(">I", raw[pos:pos + 4])
-            hdr = raw[pos + 4:pos + 4 + hl]
-            i, typ, datasize = 0, None, None
-            while i < len(hdr):
-                tag = hdr[i]; i += 1
-                f, w = tag >> 3, tag & 7
-                v, sh = 0, 0
-                while w in (0, 2):
-                    b = hdr[i]; i += 1
-                    v |= (b & 0x7F) << sh; sh += 7
-                    if not b & 0x80:
-                        break
-                if w == 2:
-                    if f == 1:
-                        typ = hdr[i:i + v].decode()
-                    i += v
-                elif w == 0 and f == 3:
-                    datasize = v
-            total = 4 + hl + datasize
-            sections.append((pos, total, typ))
-            pos += total
-        header = next(raw[o:o + n] for o, n, t in sections if t == "OSMHeader")
-        data = [(o, n) for o, n, t in sections if t == "OSMData"]
-        assert len(data) >= 4
         a = str(tmp_path / f"a.{os.path.basename(src)}")
         b = str(tmp_path / f"b.{os.path.basename(src)}")
-        with open(a, "wb") as f:
-            f.write(header)
-            for o, n in data[::2]:
-                f.write(raw[o:o + n])
-        with open(b, "wb") as f:
-            f.write(header)
-            for o, n in data[1::2]:
-                f.write(raw[o:o + n])
+        assert split_pbf(src, a, b) >= 4
 
         cols = ["zoom", "tile_x", "tile_y", "n_features"]
         single = (osm_tile_dataset(src).to_pandas()[cols]

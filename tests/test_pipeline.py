@@ -81,7 +81,8 @@ class TestAssign:
         pts = df[df.geom_type == gc.POINT_]
         expect_x = tm.lon2tilex(pts.lon.to_numpy(), 14)
         np.testing.assert_array_equal(pts.tile_x.to_numpy(), expect_x)
-        np.testing.assert_array_equal(pts.z6x.to_numpy(), expect_x >> np.uint32(8))
+        expect_y = tm.latp2tiley(pts.latp.to_numpy(), 14)
+        np.testing.assert_array_equal(pts.tile_y.to_numpy(), expect_y)
 
     def test_large_feature_routing(self):
         # a polygon spanning many z14 tiles -> one large row carrying

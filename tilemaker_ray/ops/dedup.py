@@ -835,8 +835,8 @@ def q_dedup_clusters(sf_dir: str) -> pd.DataFrame:
     exact Jaccard pair graph, each doc labelled with the min doc_id of
     its component (the canonical representative a dedup pass keeps).
 
-    Distributed min-label propagation — the same iterate-until-fixpoint
-    pattern as the raster CCL (ops/raster.py): labels start as own ids;
+    Distributed min-label propagation, iterated to a fixpoint: labels
+    start as own ids;
     each round joins neighbor labels across the (bidirected) edge list
     and folds min per node; converges in O(component diameter) rounds,
     checked by a label-sum aggregate. Labels/edges stay Datasets

@@ -158,8 +158,8 @@ def flagship_points_oracle_sql(pages_dir: str) -> str:
     parquet.  Mirrors, bit-for-bit: extract_text-independent regex
     parse of `geo:` mentions, hash_url (FNV-1a via list_reduce),
     feature_id j-mixing, MinZoom(4+imp//10), z_order=imp*10, canonical
-    attrs JSON, lat2latp+tile math (same formula the hash-green
-    tile_assign_points oracle uses), per-zoom halving, the O3 sort
+    attrs JSON, lat2latp+tile math (tilemath.lon2tilex/latp2tiley as
+    SQL), per-zoom halving, the O3 sort
     (zo_sort, attrs, fid) feature_limit-200 cut, and combine_points
     (consecutive compatible points merge ⇒ count = distinct attrs among
     survivors)."""

@@ -13,7 +13,7 @@ Rows carry large=True and the base-tile bbox range; the geometry map
 clipping discard bbox false positives — the same "lossy index cleaned
 by clipping" semantics as the reference's R-tree (tile_data.h:28-39).
 
-Output adds (tile_x, tile_y, z6x, z6y, large, min/max tile ranges) at
+Output adds (tile_x, tile_y, large, min/max tile ranges) at
 base zoom: one row per covered base tile, or one row for a large
 feature. Low-zoom tiles need no rows of their own: GeomMap derives them
 from these rows.
@@ -38,22 +38,16 @@ def assign_tiles_batch(batch: pa.Table, base_zoom: int = 14) -> pa.Table:
     latp = batch.column("latp").to_numpy()
     geoms = batch.column("geom")
 
-    shift = base_zoom - 6
-
     idx_out: list[int] = []
     tx_out: list[int] = []
     ty_out: list[int] = []
-    z6x_out: list[int] = []
-    z6y_out: list[int] = []
     large_out: list[bool] = []
     rng_out: list[tuple[int, int, int, int]] = []
 
-    def emit(i, tx, ty, z6x, z6y, large, rng=(0, 0, 0, 0)):
+    def emit(i, tx, ty, large, rng=(0, 0, 0, 0)):
         idx_out.append(i)
         tx_out.append(tx)
         ty_out.append(ty)
-        z6x_out.append(z6x)
-        z6y_out.append(z6y)
         large_out.append(large)
         rng_out.append(rng)
 
@@ -66,8 +60,6 @@ def assign_tiles_batch(batch: pa.Table, base_zoom: int = 14) -> pa.Table:
         idx_out.extend(pidx.tolist())
         tx_out.extend(px.tolist())
         ty_out.extend(py.tolist())
-        z6x_out.extend((px >> shift).tolist())
-        z6y_out.extend((py >> shift).tolist())
         n = len(pidx)
         large_out.extend([False] * n)
         rng_out.extend([(0, 0, 0, 0)] * n)
@@ -93,17 +85,15 @@ def assign_tiles_batch(batch: pa.Table, base_zoom: int = 14) -> pa.Table:
             xs = [t[0] for t in tile_set]
             ys = [t[1] for t in tile_set]
             rng = (min(xs), max(xs), min(ys), max(ys))
-            emit(i, rng[0], rng[2], rng[0] >> shift, rng[2] >> shift, True, rng)
+            emit(i, rng[0], rng[2], True, rng)
         else:
             for (x, y) in sorted(tile_set):
-                emit(i, x, y, x >> shift, y >> shift, False)
+                emit(i, x, y, False)
 
     taken = batch.take(pa.array(idx_out, pa.int64()))
     rng_a = np.asarray(rng_out, dtype=np.uint32).reshape(-1, 4)
     out = taken.append_column("tile_x", pa.array(np.asarray(tx_out, np.uint32), pa.uint32()))
     out = out.append_column("tile_y", pa.array(np.asarray(ty_out, np.uint32), pa.uint32()))
-    out = out.append_column("z6x", pa.array(np.asarray(z6x_out, np.uint32), pa.uint32()))
-    out = out.append_column("z6y", pa.array(np.asarray(z6y_out, np.uint32), pa.uint32()))
     out = out.append_column("large", pa.array(large_out, pa.bool_()))
     out = out.append_column("min_tx", pa.array(rng_a[:, 0], pa.uint32()))
     out = out.append_column("max_tx", pa.array(rng_a[:, 1], pa.uint32()))
