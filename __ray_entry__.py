@@ -437,7 +437,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     }
 
 
-def oracle_sql() -> dict[str, str]:
+def oracle_sql(sf_dir: str = "sf0.01") -> dict[str, str]:
+    """The DuckDB oracle of each checked queries() entry at `sf_dir`
+    (sf0.01, the driver's scale, by default)."""
     from tilemaker_ray.ops import dedup, relational, sampling, similarity, text
 
     out: dict[str, str] = {}
@@ -446,12 +448,13 @@ def oracle_sql() -> dict[str, str]:
     out.update(text.ORACLES)
     out.update(dedup.ORACLES)
     out.update(similarity.ORACLES)
-    # the flagship-points oracle reads the synthetic pages parquet: the
-    # driver compares at sf0.01 ⇒ 20k rows; pages_path materializes (or
-    # reuses) the deterministic table and returns its directory
+    # the flagship-points oracle reads the synthetic pages parquet of
+    # the sf's page count (rows_for_sf reads only the directory name);
+    # pages_path materializes (or reuses) the deterministic table
     from tilemaker_ray.pipelines.flagship import flagship_points_oracle_sql
-    from tilemaker_ray.sources.pages import pages_path
-    out["flagship_point_counts"] = flagship_points_oracle_sql(pages_path(20_000))
+    from tilemaker_ray.sources.pages import pages_path, rows_for_sf
+    out["flagship_point_counts"] = flagship_points_oracle_sql(
+        pages_path(rows_for_sf(sf_dir)))
 
     # merged driver rows (see the wrappers above): compose the
     # constituent oracles with the same doc_id join / tagged union the

@@ -50,7 +50,7 @@ def main():
     for t in TABLES:
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')")
     qs = E.queries()
-    oracles = E.oracle_sql()
+    oracles = E.oracle_sql(sf)
     n_pass = n_fail = 0
     for name, fn in qs.items():
         if only and name not in only:

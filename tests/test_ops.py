@@ -33,7 +33,7 @@ def check(name, con):
     import __ray_entry__ as E
     res = E.queries()[name](SF)
     df = res if isinstance(res, pd.DataFrame) else res.to_pandas()
-    exp = con.sql(E.oracle_sql()[name]).df()
+    exp = con.sql(E.oracle_sql(SF)[name]).df()
     a, b = normalize(df), normalize(exp)
     assert list(a.columns) == list(b.columns)
     assert len(a) == len(b)

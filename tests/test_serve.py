@@ -79,6 +79,7 @@ class TestTileServer:
                 json.loads(r.read())
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_mbtiles_backend(self, tmp_path):
         from tilemaker_ray.config import default_config
@@ -130,6 +131,7 @@ def test_metadata_alias(tmp_path):
         assert a == b and b"t" in a
     finally:
         srv.shutdown()
+        srv.server_close()
 
 
 def test_static_dir_serving(tmp_path):
@@ -164,3 +166,212 @@ def test_static_dir_serving(tmp_path):
         assert got == 404
     finally:
         srv.shutdown()
+        srv.server_close()
+
+
+def _mbtiles(tmp_path, n=16, name="t.mbtiles"):
+    """An .mbtiles of n z5 tiles at (5, i, i % 7) and the bytes of each."""
+    from tilemaker_ray.config import default_config
+    from tilemaker_ray.sinks import mbtiles
+    tiles = {(5, i, i % 7): _tile_blob(f"t{i}") for i in range(n)}
+    p = str(tmp_path / name)
+    mbtiles.write_mbtiles(p, [(*k, v) for k, v in tiles.items()],
+                          mbtiles.default_metadata(default_config()))
+    return p, tiles
+
+
+class _Running:
+    """serve() on a background thread; stopped and closed on exit."""
+
+    def __init__(self, container):
+        from tilemaker_ray import serve as srv
+        self.server = srv.serve(container, port=0)
+        self.base = f"http://127.0.0.1:{self.server.server_address[1]}"
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+    def get(self, path, timeout=5):
+        """(status, body); HTTP errors are returned, not raised."""
+        import urllib.error
+        try:
+            with urllib.request.urlopen(self.base + path,
+                                        timeout=timeout) as r:
+                return r.status, r.read()
+        except urllib.error.HTTPError as e:
+            with e:
+                return e.code, e.read()
+
+    def raw(self):
+        import socket
+        return socket.create_connection(self.server.server_address,
+                                        timeout=5)
+
+
+class TestOneThreadServer:
+    def test_idle_socket_does_not_block_requests(self, tmp_path):
+        import time
+        p, tiles = _mbtiles(tmp_path)
+        with _Running(p) as s:
+            idle = s.raw()  # connects, sends nothing
+            try:
+                t = time.perf_counter()
+                status, body = s.get("/5/1/1.pbf")
+                assert time.perf_counter() - t < 0.5
+                assert (status, body) == (200, tiles[(5, 1, 1)])
+            finally:
+                idle.close()
+
+    def test_silent_and_half_sent_requests_time_out(self, tmp_path,
+                                                    monkeypatch):
+        import time
+        from tilemaker_ray import serve as srv
+        monkeypatch.setattr(srv, "REQUEST_TIMEOUT_S", 0.5)
+        p, tiles = _mbtiles(tmp_path)
+        with _Running(p) as s:
+            silent, half = s.raw(), s.raw()
+            try:
+                half.sendall(b"GET /5/1")  # no end of line
+                t = time.perf_counter()
+                status, body = s.get("/5/2/2.pbf", timeout=3)
+                assert time.perf_counter() - t < 1.2
+                assert (status, body) == (200, tiles[(5, 2, 2)])
+                # both stalled connections are closed by the server
+                assert half.recv(1024) == b""
+                assert silent.recv(1024) == b""
+                assert time.perf_counter() - t < 1.5
+            finally:
+                silent.close()
+                half.close()
+
+    def test_concurrent_clients_get_container_bytes(self, tmp_path):
+        # URI characters in the name must not cut the sqlite file name
+        p, tiles = _mbtiles(tmp_path, name="t#1?x %20.mbtiles")
+        keys = sorted(tiles)
+        bad = []
+
+        def client(c):
+            for i in range(25):
+                key = keys[(c * 25 + i) % len(keys)]
+                got = s.get("/%d/%d/%d.pbf" % key)
+                if got != (200, tiles[key]):
+                    bad.append((key, got[0]))
+
+        with _Running(p) as s:
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_shutdown_returns_promptly(self, tmp_path):
+        import time
+        from tilemaker_ray import serve as srv
+        p, _ = _mbtiles(tmp_path)
+        server = srv.serve(p, port=0)
+        th = threading.Thread(target=server.serve_forever, daemon=True)
+        th.start()
+        t = time.perf_counter()
+        server.shutdown()  # right after the start
+        assert time.perf_counter() - t < 2
+        th.join(timeout=2)
+        assert not th.is_alive()
+        server.server_close()
+
+    def test_out_of_range_tiles_are_404(self, tmp_path):
+        import time
+        p, _ = _mbtiles(tmp_path)
+        with _Running(p) as s:
+            t = time.perf_counter()
+            for path in ("/33/0/0.pbf", "/300000000/0/0.pbf",
+                         "/5/32/0.pbf", "/5/0/32.pbf", "/0/1/0.pbf",
+                         "/1/" + "9" * 5000 + "/0.pbf",
+                         "/" + "9" * 5000 + "/0/0.pbf"):
+                assert s.get(path)[0] == 404, path[:40]
+            assert time.perf_counter() - t < 2
+            assert s.get("/5/31/3.pbf")[0] == 204  # edge of the pyramid
+
+    def test_backend_error_is_500(self, tmp_path, monkeypatch):
+        from tilemaker_ray import serve as srv
+
+        def broken(self, z, x, y):
+            raise RuntimeError("disk gone")
+
+        p, tiles = _mbtiles(tmp_path)
+        with _Running(p) as s:
+            monkeypatch.setattr(srv.MbtilesBackend, "get_tile", broken)
+            monkeypatch.setattr(srv.TileServer, "handle_error",
+                                lambda *a: None)
+            assert s.get("/5/1/1.pbf")[0] == 500
+            monkeypatch.undo()
+            assert s.get("/5/1/1.pbf") == (200, tiles[(5, 1, 1)])
+            m = json.loads(s.get("/metrics")[1])
+            assert (m["requests"], m["hits"], m["errors"]) == (2, 1, 1)
+
+    def test_metrics_count_a_scripted_mix(self, tmp_path):
+        p, _ = _mbtiles(tmp_path)
+        with _Running(p) as s:
+            statuses = [s.get(path)[0] for path in (
+                "/5/1/1.pbf", "/5/2/2.pbf", "/5/3/3.mvt",   # hits
+                "/5/9/9.pbf", "/5/30/30.pbf",              # misses
+                "/6/64/0.pbf",                              # 404
+                "/metadata", "/nope")]                      # not tiles
+            assert statuses == [200, 200, 200, 204, 204, 404, 200, 404]
+            m = json.loads(s.get("/metrics")[1])
+            m2 = json.loads(s.get("/metrics")[1])
+        assert m == m2  # /metrics is not counted
+        assert (m["requests"], m["hits"], m["misses"], m["errors"]) == \
+            (6, 3, 2, 1)
+        assert list(m["latency_ms"]) == ["0.25", "0.5", "1", "2", "4", "8",
+                                         "16", "32", "64", "+Inf"]
+        assert sum(m["latency_ms"].values()) == 6
+
+
+def test_pmtiles_backend_matches_read_pmtiles(tmp_path):
+    """> 2,200 directory entries put the z6+ tiles in leaf directories;
+    tiny tiles repeated on consecutive ids become run-length entries."""
+    import pytest
+    from tilemaker_ray.serve import PmtilesBackend
+    from tilemaker_ray.sinks import pmtiles as pmt
+    tiles = []
+    for tid in range(4000):
+        if tid % 10 < 5:  # five consecutive copies of one tiny tile
+            data = b"run-%d" % (tid // 10)
+        else:
+            data = b"tile-%d" % tid
+        tiles.append((*pmt.tileid_to_zxy(tid), data))
+    p = str(tmp_path / "t.pmtiles")
+    pmt.write_pmtiles(p, tiles, {"name": "t"})
+    rd = pmt.read_pmtiles(p)
+    assert rd["counts"]["entries"] > 2200
+    assert rd["counts"]["entries"] < rd["counts"]["addressed"] == 4000
+    assert len(rd["tiles"]) == 4000
+    backend = PmtilesBackend(p)
+    try:
+        assert len(backend.entries) == rd["counts"]["entries"]
+        assert backend.metadata() == rd["metadata"] == {"name": "t"}
+        for tid, data in rd["tiles"].items():
+            assert backend.get_tile(*pmt.tileid_to_zxy(tid)) == data
+        assert backend.get_tile(*pmt.tileid_to_zxy(4000)) is None
+        assert backend.get_tile(14, 0, 0) is None
+    finally:
+        backend.close()
+
+    bad = tmp_path / "bad.pmtiles"
+    bad.write_bytes(b"PMTiles\x02" + bytes(200))
+    with pytest.raises(ValueError, match="bad.pmtiles"):
+        pmt.read_pmtiles(str(bad))
+    with pytest.raises(ValueError, match="bad.pmtiles"):
+        PmtilesBackend(str(bad))

@@ -2,23 +2,59 @@
 a z/x/y directory over HTTP with the standard slippy URL scheme:
 
     python -m tilemaker_ray.serve tiles.mbtiles --port 8080
-    GET /{z}/{x}/{y}.pbf       → tile bytes (Content-Encoding: gzip)
+    GET /{z}/{x}/{y}.pbf       → tile bytes (Content-Encoding: gzip);
+                                 204 for a tile the container lacks,
+                                 404 outside z ≤ 32, 0 ≤ x, y < 2^z
     GET /metadata.json         → container metadata
+    GET /metrics               → tile request counters (JSON)
 
 Mirrors the reference's dev-server role (SURVEY S9) with only the
-standard library: a read-only sqlite/pmtiles/dir backend behind
-http.server.ThreadingHTTPServer."""
+standard library.
+
+Threading model: every request runs on the thread that calls
+`serve_forever`. That thread runs one selector loop: it accepts each
+connection, waits until the connection is readable, then runs the
+stdlib `BaseHTTPRequestHandler` on it inline and closes it (HTTP/1.0,
+one request per connection). No thread is started per connection, so
+one slow client delays the others: a connection that sends nothing for
+`REQUEST_TIMEOUT_S` is closed unread, and a handler reading or writing
+a request stalls for at most `REQUEST_TIMEOUT_S` per socket operation.
+
+Backends open their container once, at start: `.mbtiles` through one
+read-only sqlite connection, `.pmtiles` through one file descriptor
+and its tile directory, read with `os.pread`. A running server keeps
+serving the container it opened; `write_mbtiles` deletes and recreates
+the file, so restart the server after a rebuild.
+
+`/metrics` counts tile requests (`requests`; `hits` answered 200,
+`misses` 204, `errors` 4xx/5xx) and their latency in `latency_ms`,
+from the start of the handler to the end of the write. Each bucket
+counts the requests at most its bound and above the one before.
+Requests to `/metrics` itself are not counted."""
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import os
 import re
+import selectors
+import socket
 import sqlite3
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from urllib.parse import quote
 
 TILE_RE = re.compile(r"^/(\d+)/(\d+)/(\d+)\.(pbf|mvt)$")
+MAX_ZOOM = 32
+# seconds a connection may stay silent before it is closed, and a
+# handler may wait on one read or write of its socket
+REQUEST_TIMEOUT_S = 5.0
+LATENCY_BUCKETS_MS = (0.25, 0.5, 1, 2, 4, 8, 16, 32, 64)
+# socketserver's choice: poll(2) adds no system call per registration
+_Selector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
 
 class TileBackend:
@@ -28,43 +64,63 @@ class TileBackend:
     def metadata(self) -> dict:
         return {}
 
+    def close(self) -> None:
+        pass
+
 
 class MbtilesBackend(TileBackend):
     def __init__(self, path: str):
         self.path = path
+        # built on the caller's thread, read on the serving thread; the
+        # path is quoted, or a '#' or '?' in it would end the file name
+        self.con = sqlite3.connect(f"file:{quote(path)}?mode=ro", uri=True,
+                                   check_same_thread=False)
 
     def get_tile(self, z, x, y):
-        con = sqlite3.connect(f"file:{self.path}?mode=ro", uri=True)
-        try:
-            tms_y = (1 << z) - 1 - y
-            row = con.execute(
-                "SELECT tile_data FROM tiles WHERE zoom_level=? AND "
-                "tile_column=? AND tile_row=?", (z, x, tms_y)).fetchone()
-            return bytes(row[0]) if row else None
-        finally:
-            con.close()
+        tms_y = (1 << z) - 1 - y
+        row = self.con.execute(
+            "SELECT tile_data FROM tiles WHERE zoom_level=? AND "
+            "tile_column=? AND tile_row=?", (z, x, tms_y)).fetchone()
+        return bytes(row[0]) if row else None
 
     def metadata(self):
-        con = sqlite3.connect(f"file:{self.path}?mode=ro", uri=True)
-        try:
-            return {k: v for k, v in
-                    con.execute("SELECT name, value FROM metadata")}
-        finally:
-            con.close()
+        return {k: v for k, v in
+                self.con.execute("SELECT name, value FROM metadata")}
+
+    def close(self):
+        self.con.close()
 
 
 class PmtilesBackend(TileBackend):
+    """Keeps the tile directory, not the tiles: each request reads its
+    tile with os.pread, so memory follows the directory's entries."""
+
     def __init__(self, path: str):
-        from .sinks.pmtiles import read_pmtiles, tileid_to_zxy
-        rd = read_pmtiles(path)
-        self.tiles = {tileid_to_zxy(t): d for t, d in rd["tiles"].items()}
-        self.meta = rd["metadata"]
+        from .sinks.pmtiles import read_index
+        self.fd = os.open(path, os.O_RDONLY)
+        try:
+            index = read_index(self.fd, path)
+        except BaseException:
+            os.close(self.fd)
+            raise
+        self.meta = index["metadata"]
+        self.entries = index["entries"]
+        self.starts = [e[0] for e in self.entries]
 
     def get_tile(self, z, x, y):
-        return self.tiles.get((z, x, y))
+        from .sinks.pmtiles import zxy_to_tileid
+        tid = zxy_to_tileid(z, x, y)
+        i = bisect.bisect_right(self.starts, tid) - 1
+        if i < 0:
+            return None
+        start, off, ln, run = self.entries[i]
+        return os.pread(self.fd, ln, off) if tid < start + run else None
 
     def metadata(self):
         return self.meta
+
+    def close(self):
+        os.close(self.fd)
 
 
 class ZxyBackend(TileBackend):
@@ -98,11 +154,64 @@ def open_backend(path: str) -> TileBackend:
     raise ValueError(f"unsupported tile container: {path}")
 
 
+def tile_key(m: re.Match) -> tuple[int, int, int] | None:
+    """(z, x, y) of a matched tile path, None when outside the tile
+    pyramid; no more than 10 digits (2^32) are ever parsed."""
+    if max(len(g) for g in m.groups()[:3]) > 10:
+        return None
+    z, x, y = (int(g) for g in m.groups()[:3])
+    if z > MAX_ZOOM or x >= 1 << z or y >= 1 << z:
+        return None
+    return z, x, y
+
+
+class ServeMetrics:
+    """Tile request counters; every request runs on one thread, so
+    plain ints need no lock."""
+
+    def __init__(self):
+        self.requests = self.hits = self.misses = self.errors = 0
+        self.latency = [0] * (len(LATENCY_BUCKETS_MS) + 1)
+
+    def record(self, status: int, seconds: float) -> None:
+        self.requests += 1
+        self.hits += status == 200
+        self.misses += status == 204
+        self.errors += status >= 400
+        self.latency[bisect.bisect_left(LATENCY_BUCKETS_MS,
+                                        1e3 * seconds)] += 1
+
+    def as_dict(self) -> dict:
+        bounds = [str(b) for b in LATENCY_BUCKETS_MS] + ["+Inf"]
+        return {"requests": self.requests, "hits": self.hits,
+                "misses": self.misses, "errors": self.errors,
+                "latency_ms": dict(zip(bounds, self.latency))}
+
+
 def make_handler(backend: TileBackend, compressed: bool = True,
                  static_dir: str | None = None):
+    metrics = ServeMetrics()
+
     class Handler(BaseHTTPRequestHandler):
+        timeout = REQUEST_TIMEOUT_S
+        # buffer the reply: status, headers and body leave in one send
+        # when they fit, so the client is woken once per response
+        wbufsize = -1
+
         def log_message(self, *a):  # quiet
             pass
+
+        def handle(self):
+            self.started = time.perf_counter()
+            super().handle()
+
+        def _send_json(self, obj) -> None:
+            body = json.dumps(obj).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
 
         def _send_static(self) -> bool:
             """Serve a file under static_dir (reference server.cpp
@@ -114,7 +223,8 @@ def make_handler(backend: TileBackend, compressed: bool = True,
             full = os.path.realpath(os.path.join(root, rel))
             if not full.startswith(root + os.sep) or not os.path.isfile(full):
                 return False
-            body = open(full, "rb").read()
+            with open(full, "rb") as f:
+                body = f.read()
             ctype = {"html": "text/html", "js": "text/javascript",
                      "css": "text/css", "json": "application/json",
                      "png": "image/png"}.get(full.rsplit(".", 1)[-1],
@@ -126,29 +236,21 @@ def make_handler(backend: TileBackend, compressed: bool = True,
             self.wfile.write(body)
             return True
 
-        def do_GET(self):
-            # /metadata = the reference server route (server.cpp:96);
-            # /metadata.json kept for compatibility with earlier rounds
-            if self.path in ("/metadata.json", "/metadata"):
-                body = json.dumps(backend.metadata()).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-                return
-            m = TILE_RE.match(self.path)
-            if not m:
-                if not self._send_static():
-                    self.send_response(404)
-                    self.end_headers()
-                return
-            z, x, y = int(m.group(1)), int(m.group(2)), int(m.group(3))
-            data = backend.get_tile(z, x, y)
+        def _send_tile(self, m: re.Match) -> int:
+            key = tile_key(m)
+            if key is None:
+                self.send_error(404)
+                return 404
+            try:
+                data = backend.get_tile(*key)
+            except Exception:  # one bad request must not stop the server
+                self.server.handle_error(self.request, self.client_address)
+                self.send_error(500)
+                return 500
             if data is None:
                 self.send_response(204)
                 self.end_headers()
-                return
+                return 204
             self.send_response(200)
             self.send_header("Content-Type",
                              "application/vnd.mapbox-vector-tile")
@@ -158,17 +260,114 @@ def make_handler(backend: TileBackend, compressed: bool = True,
             self.send_header("Access-Control-Allow-Origin", "*")
             self.end_headers()
             self.wfile.write(data)
+            return 200
+
+        def do_GET(self):
+            if self.path == "/metrics":
+                self._send_json(metrics.as_dict())
+                return
+            # /metadata = the reference server route (server.cpp:96);
+            # /metadata.json kept for compatibility with earlier rounds
+            if self.path in ("/metadata.json", "/metadata"):
+                self._send_json(backend.metadata())
+                return
+            m = TILE_RE.match(self.path)
+            if m:
+                status = self._send_tile(m)
+                metrics.record(status, time.perf_counter() - self.started)
+            elif not self._send_static():
+                self.send_response(404)
+                self.end_headers()
 
     return Handler
 
 
+class TileServer(HTTPServer):
+    """HTTPServer whose serve_forever runs every request on the calling
+    thread (see the module docstring); shutdown() keeps socketserver's
+    contract."""
+
+    # new connections wait in the listen backlog while a request runs
+    request_queue_size = 128
+
+    def __init__(self, address, handler, backend: TileBackend):
+        self.backend = backend  # closed by server_close, also on a failed bind
+        self._stop = False
+        self._stopped = threading.Event()
+        super().__init__(address, handler)
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._stopped.clear()
+        # connections waiting for their request, with the time each
+        # is closed at; accepted in order, so the oldest come first
+        waiting: dict[socket.socket, float] = {}
+        try:
+            with _Selector() as sel:
+                sel.register(self, selectors.EVENT_READ)
+                while not self._stop:
+                    wait = poll_interval
+                    if waiting:
+                        oldest = next(iter(waiting.values()))
+                        wait = max(0.0, min(wait, oldest - time.monotonic()))
+                    ready = sel.select(wait)
+                    # a connection is closed only when this select found
+                    # it silent, never for waiting behind a slow request
+                    readable = {key.fileobj for key, _ in ready}
+                    now = time.monotonic()
+                    for conn in [c for c, t in waiting.items()
+                                 if t <= now and c not in readable]:
+                        self._forget(sel, waiting, conn)
+                        self.shutdown_request(conn)
+                    for key, _ in ready:
+                        if key.fileobj is self:
+                            self._accept(sel, waiting)
+                        else:
+                            self._forget(sel, waiting, key.fileobj)
+                            self._handle(key.fileobj, key.data)
+        finally:
+            for conn in waiting:
+                self.shutdown_request(conn)
+            self._stop = False
+            self._stopped.set()
+
+    def _accept(self, sel, waiting) -> None:
+        try:
+            conn, addr = self.get_request()
+        except OSError:
+            return
+        sel.register(conn, selectors.EVENT_READ, addr)
+        waiting[conn] = time.monotonic() + REQUEST_TIMEOUT_S
+
+    @staticmethod
+    def _forget(sel, waiting, conn) -> None:
+        del waiting[conn]
+        sel.unregister(conn)
+
+    def _handle(self, conn, addr) -> None:
+        try:
+            self.finish_request(conn, addr)
+        except Exception:
+            self.handle_error(conn, addr)
+        finally:
+            self.shutdown_request(conn)
+
+    def shutdown(self) -> None:
+        """Stop the serve_forever loop and wait until it has stopped."""
+        self._stop = True
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.backend.close()
+
+
 def serve(path: str, host: str = "127.0.0.1", port: int = 8080,
           compressed: bool = True,
-          static_dir: str | None = None) -> ThreadingHTTPServer:
+          static_dir: str | None = None) -> TileServer:
     """Build (but don't run) the server — call .serve_forever()."""
-    return ThreadingHTTPServer((host, port),
-                               make_handler(open_backend(path), compressed,
-                                            static_dir))
+    backend = open_backend(path)
+    return TileServer((host, port),
+                      make_handler(backend, compressed, static_dir), backend)
 
 
 def main(argv=None) -> int:

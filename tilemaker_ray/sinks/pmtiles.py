@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 import struct
 
 HEADER_ROOT = 16384
@@ -230,8 +231,6 @@ def merge_pmtiles(path: str, tiles, metadata: dict,
     untouched existing tiles are carried over. PMTiles is a clustered
     single-file archive, so the merge rewrites the file (the existing
     archive is fully decoded first — no in-place append exists)."""
-    import os
-
     from .. import mvt as _mvt
     packed = compress != "none"
     existing: dict[tuple[int, int, int], bytes] = {}
@@ -303,33 +302,49 @@ def deserialize_directory(data: bytes) -> list[list[int]]:
     return out
 
 
-def read_pmtiles(path: str) -> dict:
-    """Decode header + directories + tiles (slippy keys)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    assert raw[:7] == b"PMTiles" and raw[7] == 3
-    fields = struct.unpack_from("<11Q", raw, 8)
+def read_index(fd: int, path: str) -> dict:
+    """Header, metadata and whole tile directory of the archive open at
+    `fd`, read with os.pread and no tile data. "entries" holds every
+    tile entry [tile_id, offset, length, run_length] in tile-id order,
+    leaf directories inlined and offsets absolute in the file."""
+    head = os.pread(fd, 127, 0)
+    if len(head) < 127 or head[:7] != b"PMTiles" or head[7] != 3:
+        raise ValueError(f"{path}: not a PMTiles v3 archive")
     (root_off, root_len, json_off, json_len, leaf_off, leaf_len,
-     tile_off, tile_len, addressed, n_entries, contents) = fields
-    meta = json.loads(gzip.decompress(raw[json_off:json_off + json_len]))
-    root = deserialize_directory(gzip.decompress(raw[root_off:root_off + root_len]))
-    tiles: dict[int, bytes] = {}
+     tile_off, tile_len, addressed, n_entries, contents) = \
+        struct.unpack_from("<11Q", head, 8)
 
-    def expand(entries, depth=0):
+    def directory(off: int, ln: int) -> list[list[int]]:
+        return deserialize_directory(gzip.decompress(os.pread(fd, ln, off)))
+
+    def walk(entries):
         for tid, off, ln, run in entries:
-            if run == 0 and depth == 0 and leaf_len:
-                leaf = deserialize_directory(
-                    gzip.decompress(raw[leaf_off + off:leaf_off + off + ln]))
-                expand(leaf, depth + 1)
+            if run == 0:  # a leaf directory, not a tile
+                yield from walk(directory(leaf_off + off, ln))
             else:
-                for r in range(max(1, run)):
-                    tiles[tid + r] = raw[tile_off + off:tile_off + off + ln]
+                yield [tid, tile_off + off, ln, run]
 
-    expand(root)
-    return {"metadata": meta, "tiles": tiles,
-            "tile_compression": raw[98],
+    return {"metadata": json.loads(gzip.decompress(
+                os.pread(fd, json_len, json_off))),
+            "entries": list(walk(directory(root_off, root_len))),
+            "tile_compression": head[98],
             "counts": {"addressed": addressed, "entries": n_entries,
                        "contents": contents}}
+
+
+def read_pmtiles(path: str) -> dict:
+    """Decode header + directories + tiles (tile-id keys)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        index = read_index(fd, path)
+        tiles: dict[int, bytes] = {}
+        for tid, off, ln, run in index.pop("entries"):
+            data = os.pread(fd, ln, off)
+            for r in range(run):
+                tiles[tid + r] = data
+    finally:
+        os.close(fd)
+    return {**index, "tiles": tiles}
 
 
 def tileid_to_zxy(tileid: int) -> tuple[int, int, int]:
