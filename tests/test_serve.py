@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import socket
 import threading
 import urllib.request
 
@@ -212,7 +213,6 @@ class _Running:
                 return e.code, e.read()
 
     def raw(self):
-        import socket
         return socket.create_connection(self.server.server_address,
                                         timeout=5)
 
@@ -251,6 +251,110 @@ class TestOneThreadServer:
                 assert time.perf_counter() - t < 1.5
             finally:
                 silent.close()
+                half.close()
+
+    def test_trickled_head_is_cut_off_at_its_deadline(self, tmp_path,
+                                                      monkeypatch):
+        """The head's time limit is for the whole head: a byte every
+        0.3 s keeps the connection busy but not open past 0.5 s."""
+        import time
+        from tilemaker_ray import serve as srv
+        monkeypatch.setattr(srv, "REQUEST_TIMEOUT_S", 0.5)
+        p, tiles = _mbtiles(tmp_path)
+        with _Running(p) as s:
+            slow = s.raw()
+            t0 = time.perf_counter()
+            slow.sendall(b"GET /5/1/1.pbf HTTP/1.0\r\nX-Slow: ")
+
+            def trickle():
+                try:
+                    for _ in range(10):
+                        time.sleep(0.3)
+                        slow.sendall(b"a")
+                except OSError:
+                    pass
+
+            th = threading.Thread(target=trickle)
+            th.start()
+            try:
+                for _ in range(4):  # answered while the trickle goes on
+                    t = time.perf_counter()
+                    got = s.get("/5/2/2.pbf", timeout=3)
+                    assert got == (200, tiles[(5, 2, 2)])
+                    assert time.perf_counter() - t < 0.3
+                    time.sleep(0.2)
+                try:
+                    assert slow.recv(1024) == b""
+                except ConnectionResetError:
+                    pass
+                assert time.perf_counter() - t0 < 1.2
+            finally:
+                th.join()
+                slow.close()
+
+    def test_slow_reader_holds_only_its_own_socket(self, tmp_path,
+                                                   monkeypatch):
+        import time
+        from tilemaker_ray import serve as srv
+        monkeypatch.setattr(srv, "REQUEST_TIMEOUT_S", 0.5)
+        p, tiles = _mbtiles(tmp_path)
+        static = tmp_path / "static"
+        static.mkdir()
+        big = 16 << 20  # more than the socket buffers hold
+        (static / "big.bin").write_bytes(bytes(big))
+        server = srv.serve(p, port=0, static_dir=str(static))
+        th = threading.Thread(target=server.serve_forever, daemon=True)
+        th.start()
+        reader = socket.create_connection(server.server_address, timeout=5)
+        try:
+            reader.sendall(b"GET /big.bin HTTP/1.0\r\n\r\n")
+            time.sleep(0.1)  # the server has filled the socket buffers
+            t = time.perf_counter()
+            with urllib.request.urlopen(
+                    "http://127.0.0.1:%d/5/3/3.pbf"
+                    % server.server_address[1], timeout=3) as r:
+                assert r.read() == tiles[(5, 3, 3)]
+            assert time.perf_counter() - t < 0.3
+            time.sleep(1.0)  # no reply bytes taken for > 0.5 s: dropped
+            got = 0
+            while True:
+                try:
+                    chunk = reader.recv(1 << 20)
+                except ConnectionResetError:
+                    break
+                if not chunk:
+                    break
+                got += len(chunk)
+            assert 0 < got < big
+        finally:
+            reader.close()
+            server.shutdown()
+            server.server_close()
+
+    def test_long_and_half_closed_heads(self, tmp_path):
+        from tilemaker_ray import serve as srv
+        p, tiles = _mbtiles(tmp_path)
+        with _Running(p) as s:
+            long = s.raw()  # a head past MAX_HEAD_BYTES is closed unanswered
+            try:
+                long.sendall(b"GET /5/1/1.pbf HTTP/1.0\r\nX: "
+                             + b"a" * srv.MAX_HEAD_BYTES)
+                try:
+                    assert long.recv(1024) == b""
+                except ConnectionResetError:
+                    pass
+            finally:
+                long.close()
+            half = s.raw()  # EOF ends the head, as in http.client
+            try:
+                half.sendall(b"GET /5/1/1.pbf HTTP/1.0\r\n")
+                half.shutdown(socket.SHUT_WR)
+                reply = b""
+                while chunk := half.recv(65536):
+                    reply += chunk
+                assert reply.startswith(b"HTTP/1.0 200 ")
+                assert reply.endswith(tiles[(5, 1, 1)])
+            finally:
                 half.close()
 
     def test_concurrent_clients_get_container_bytes(self, tmp_path):

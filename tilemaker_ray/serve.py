@@ -12,13 +12,20 @@ Mirrors the reference's dev-server role (SURVEY S9) with only the
 standard library.
 
 Threading model: every request runs on the thread that calls
-`serve_forever`. That thread runs one selector loop: it accepts each
-connection, waits until the connection is readable, then runs the
-stdlib `BaseHTTPRequestHandler` on it inline and closes it (HTTP/1.0,
-one request per connection). No thread is started per connection, so
-one slow client delays the others: a connection that sends nothing for
-`REQUEST_TIMEOUT_S` is closed unread, and a handler reading or writing
-a request stalls for at most `REQUEST_TIMEOUT_S` per socket operation.
+`serve_forever`, and that thread never waits on one client. It runs
+one selector loop over non-blocking sockets: it accepts each
+connection and reads its request head (the request line and headers,
+up to the blank line) as the bytes arrive. Once the head is complete,
+the stdlib `BaseHTTPRequestHandler` parses it from memory and writes
+its reply to memory; the loop then sends the reply as the client
+takes it and closes the connection (HTTP/1.0, one request per
+connection). No thread is started per connection.
+
+A connection must deliver its whole head within `REQUEST_TIMEOUT_S`
+of being accepted, however it trickles in, and a client that takes
+no reply bytes for `REQUEST_TIMEOUT_S` is dropped; a head longer than
+`MAX_HEAD_BYTES` is closed unanswered. Stalled clients hold only
+their own socket, never the loop.
 
 Backends open their container once, at start: `.mbtiles` through one
 read-only sqlite connection, `.pmtiles` through one file descriptor
@@ -28,14 +35,16 @@ the file, so restart the server after a rebuild.
 
 `/metrics` counts tile requests (`requests`; `hits` answered 200,
 `misses` 204, `errors` 4xx/5xx) and their latency in `latency_ms`,
-from the start of the handler to the end of the write. Each bucket
-counts the requests at most its bound and above the one before.
+from the start of the handler until the last reply byte is sent.
+Each bucket counts the requests at most its bound and above the one
+before.
 Requests to `/metrics` itself are not counted."""
 
 from __future__ import annotations
 
 import argparse
 import bisect
+import io
 import json
 import os
 import re
@@ -49,9 +58,10 @@ from urllib.parse import quote
 
 TILE_RE = re.compile(r"^/(\d+)/(\d+)/(\d+)\.(pbf|mvt)$")
 MAX_ZOOM = 32
-# seconds a connection may stay silent before it is closed, and a
-# handler may wait on one read or write of its socket
+# seconds a connection has to send its request head from being
+# accepted, and a client may take no reply bytes
 REQUEST_TIMEOUT_S = 5.0
+MAX_HEAD_BYTES = 65536
 LATENCY_BUCKETS_MS = (0.25, 0.5, 1, 2, 4, 8, 16, 32, 64)
 # socketserver's choice: poll(2) adds no system call per registration
 _Selector = getattr(selectors, "PollSelector", selectors.SelectSelector)
@@ -188,21 +198,48 @@ class ServeMetrics:
                 "latency_ms": dict(zip(bounds, self.latency))}
 
 
+class _Request:
+    """One connection in TileServer's loop: its request head as it
+    arrives, then the reply the handler wrote, as it leaves."""
+
+    __slots__ = ("sock", "addr", "deadline", "head", "reply", "status",
+                 "started")
+
+    def __init__(self, sock, addr):
+        self.sock, self.addr = sock, addr
+        self.deadline = time.monotonic() + REQUEST_TIMEOUT_S
+        self.head = bytearray()
+        self.reply = None  # memoryview of the bytes still to send
+        self.status = None  # set for tile requests, which /metrics counts
+        self.started = 0.0
+
+
+def _head_ends(head: bytearray, start: int) -> bool:
+    """A blank line (CRLF or bare LF, as http.client accepts) at or
+    after `start` ends the request head."""
+    return head.find(b"\n\r\n", start) >= 0 or head.find(b"\n\n", start) >= 0
+
+
 def make_handler(backend: TileBackend, compressed: bool = True,
                  static_dir: str | None = None):
-    metrics = ServeMetrics()
 
     class Handler(BaseHTTPRequestHandler):
-        timeout = REQUEST_TIMEOUT_S
-        # buffer the reply: status, headers and body leave in one send
-        # when they fit, so the client is woken once per response
-        wbufsize = -1
+        """Runs on a `_Request` whose head TileServer has read, as
+        socketserver's DatagramRequestHandler runs on a datagram: it
+        parses the head from memory and writes the reply to memory."""
+
+        def setup(self):
+            self.rfile = io.BytesIO(self.request.head)
+            self.wfile = io.BytesIO()
+
+        def finish(self):
+            self.request.reply = memoryview(self.wfile.getvalue())
 
         def log_message(self, *a):  # quiet
             pass
 
         def handle(self):
-            self.started = time.perf_counter()
+            self.request.started = time.perf_counter()
             super().handle()
 
         def _send_json(self, obj) -> None:
@@ -264,7 +301,7 @@ def make_handler(backend: TileBackend, compressed: bool = True,
 
         def do_GET(self):
             if self.path == "/metrics":
-                self._send_json(metrics.as_dict())
+                self._send_json(self.server.metrics.as_dict())
                 return
             # /metadata = the reference server route (server.cpp:96);
             # /metadata.json kept for compatibility with earlier rounds
@@ -273,8 +310,7 @@ def make_handler(backend: TileBackend, compressed: bool = True,
                 return
             m = TILE_RE.match(self.path)
             if m:
-                status = self._send_tile(m)
-                metrics.record(status, time.perf_counter() - self.started)
+                self.request.status = self._send_tile(m)
             elif not self._send_static():
                 self.send_response(404)
                 self.end_headers()
@@ -283,73 +319,106 @@ def make_handler(backend: TileBackend, compressed: bool = True,
 
 
 class TileServer(HTTPServer):
-    """HTTPServer whose serve_forever runs every request on the calling
-    thread (see the module docstring); shutdown() keeps socketserver's
-    contract."""
+    """HTTPServer whose serve_forever serves every connection on the
+    calling thread without waiting on any one client (see the module
+    docstring); shutdown() keeps socketserver's contract."""
 
-    # new connections wait in the listen backlog while a request runs
+    # the loop accepts one connection per turn; at socketserver's
+    # default of 5, eight overlapping clients met 1 s SYN retries
     request_queue_size = 128
 
     def __init__(self, address, handler, backend: TileBackend):
         self.backend = backend  # closed by server_close, also on a failed bind
+        self.metrics = ServeMetrics()
         self._stop = False
         self._stopped = threading.Event()
         super().__init__(address, handler)
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         self._stopped.clear()
-        # connections waiting for their request, with the time each
-        # is closed at; accepted in order, so the oldest come first
-        waiting: dict[socket.socket, float] = {}
+        # open connections, accepted in order
+        conns: dict[socket.socket, _Request] = {}
         try:
             with _Selector() as sel:
                 sel.register(self, selectors.EVENT_READ)
                 while not self._stop:
                     wait = poll_interval
-                    if waiting:
-                        oldest = next(iter(waiting.values()))
-                        wait = max(0.0, min(wait, oldest - time.monotonic()))
-                    ready = sel.select(wait)
-                    # a connection is closed only when this select found
-                    # it silent, never for waiting behind a slow request
-                    readable = {key.fileobj for key, _ in ready}
-                    now = time.monotonic()
-                    for conn in [c for c, t in waiting.items()
-                                 if t <= now and c not in readable]:
-                        self._forget(sel, waiting, conn)
-                        self.shutdown_request(conn)
-                    for key, _ in ready:
+                    if conns:
+                        first = min(r.deadline for r in conns.values())
+                        wait = max(0.0, min(wait, first - time.monotonic()))
+                    for key, _ in sel.select(wait):
                         if key.fileobj is self:
-                            self._accept(sel, waiting)
+                            self._accept(sel, conns)
+                        elif key.data.reply is None:
+                            self._read(sel, conns, key.data)
                         else:
-                            self._forget(sel, waiting, key.fileobj)
-                            self._handle(key.fileobj, key.data)
+                            self._send(sel, conns, key.data)
+                    now = time.monotonic()
+                    for r in [r for r in conns.values() if r.deadline <= now]:
+                        self._close(sel, conns, r)
         finally:
-            for conn in waiting:
+            for conn in conns:
                 self.shutdown_request(conn)
             self._stop = False
             self._stopped.set()
 
-    def _accept(self, sel, waiting) -> None:
+    def _accept(self, sel, conns) -> None:
         try:
             conn, addr = self.get_request()
+            conn.setblocking(False)
         except OSError:
             return
-        sel.register(conn, selectors.EVENT_READ, addr)
-        waiting[conn] = time.monotonic() + REQUEST_TIMEOUT_S
+        conns[conn] = r = _Request(conn, addr)
+        sel.register(conn, selectors.EVENT_READ, r)
 
-    @staticmethod
-    def _forget(sel, waiting, conn) -> None:
-        del waiting[conn]
-        sel.unregister(conn)
-
-    def _handle(self, conn, addr) -> None:
+    def _read(self, sel, conns, r: _Request) -> None:
         try:
-            self.finish_request(conn, addr)
+            data = r.sock.recv(MAX_HEAD_BYTES + 1 - len(r.head))
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(sel, conns, r)
+            return
+        start = max(0, len(r.head) - 2)
+        r.head += data
+        if data and not _head_ends(r.head, start):
+            if len(r.head) > MAX_HEAD_BYTES:
+                self._close(sel, conns, r)
+            return  # more to come, until the deadline
+        if not r.head:  # closed before sending anything
+            self._close(sel, conns, r)
+            return
+        # a complete head, or what came before the client's EOF
+        try:
+            self.finish_request(r, r.addr)
         except Exception:
-            self.handle_error(conn, addr)
-        finally:
-            self.shutdown_request(conn)
+            self.handle_error(r.sock, r.addr)
+            self._close(sel, conns, r)
+            return
+        r.deadline = time.monotonic() + REQUEST_TIMEOUT_S
+        sel.modify(r.sock, selectors.EVENT_WRITE, r)
+        self._send(sel, conns, r)
+
+    def _send(self, sel, conns, r: _Request) -> None:
+        try:
+            n = r.sock.send(r.reply)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(sel, conns, r)
+            return
+        r.reply = r.reply[n:]
+        if r.reply:
+            r.deadline = time.monotonic() + REQUEST_TIMEOUT_S
+            return
+        if r.status is not None:
+            self.metrics.record(r.status, time.perf_counter() - r.started)
+        self._close(sel, conns, r)
+
+    def _close(self, sel, conns, r: _Request) -> None:
+        sel.unregister(r.sock)
+        del conns[r.sock]
+        self.shutdown_request(r.sock)
 
     def shutdown(self) -> None:
         """Stop the serve_forever loop and wait until it has stopped."""
