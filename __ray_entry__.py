@@ -149,30 +149,6 @@ def _bpe_merges(sf_dir: str):
     return q_bpe_merges(sf_dir)
 
 
-def _cosine_topk_rerank(sf_dir: str):
-    """cosine_topk (brute-force top-k) ⊕ rerank_topk (pq_topk's exact-
-    rerank kernel under a deterministic SQL-expressible shortlist —
-    same (query_id, rank) grain, r5)."""
-    from tilemaker_ray.ops import similarity
-    from tilemaker_ray.ops.pq import q_rerank_topk
-
-    a = similarity.q_cosine_topk(sf_dir)
-    return (a.merge(q_rerank_topk(sf_dir), on=["query_id", "rank"])
-             .sort_values(["query_id", "rank"]).reset_index(drop=True))
-
-
-def _pq_topk(sf_dir: str):
-    from tilemaker_ray.ops.pq import q_pq_topk
-
-    return q_pq_topk(sf_dir)
-
-
-def _bitext_mine(sf_dir: str):
-    from tilemaker_ray.ops.bitext import q_bitext_mine
-
-    return q_bitext_mine(sf_dir)
-
-
 def _incremental_tiles(sf_dir: str):
     """Rows-only: incremental tile maintenance — patch the snapshot-1
     feature store to snapshot 2 and re-render only affected tiles;
@@ -199,24 +175,6 @@ def _image_features(sf_dir: str):
     from tilemaker_ray.ops.multimodal import q_image_features
 
     return q_image_features(sf_dir)
-
-
-def _image_phash_dups(sf_dir: str):
-    from tilemaker_ray.ops.phash import q_image_phash_dups
-
-    return q_image_phash_dups(sf_dir)
-
-
-def _audio_fp_dups(sf_dir: str):
-    from tilemaker_ray.ops.audiofp import q_audio_fp_dups
-
-    return q_audio_fp_dups(sf_dir)
-
-
-def _video_fp_dups(sf_dir: str):
-    from tilemaker_ray.ops.videofp import q_video_fp_dups
-
-    return q_video_fp_dups(sf_dir)
 
 
 def _audio_features(sf_dir: str):
@@ -302,22 +260,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
     (count + bit_xor), token_count carries normalize_text (and the BPE
     variant) + lm_bits + lm_tercile + seq_pack (packing positions via
     distributed prefix sum), hash_sample carries stratified_sample +
-    weighted_sample + lang_balance, cosine_topk carries rerank_topk.
-    Rows-only pipelines (approximate-by-construction, iterative,
-    codec-bound, or MVT-blob outputs gated by golden fixtures) come
-    last."""
-    from tilemaker_ray.ops import (dedup, relational, sampling, similarity,
-                                   text, web)
+    weighted_sample + lang_balance.  Rows-only pipelines
+    (approximate-by-construction, iterative, codec-bound, or MVT-blob
+    outputs gated by golden fixtures) come last."""
+    from tilemaker_ray.ops import dedup, relational, sampling, text, web
 
     return {
-        # --- oracled (31 entries; every one has an oracle_sql row) ---
+        # --- oracled (27 entries; every one has an oracle_sql row) ---
         # flagship engine path with an exact SQL oracle (points slice:
-        # extract actors → tile assign → pk shuffle → O3 sort +
+        # extract tasks → tile assign → pk shuffle → O3 sort +
         # feature_limit + combine_points assembly; VERDICT r2 #6).
         # First: never driver-checked before round 4 (window cutoff).
         "flagship_point_counts": _flagship_point_counts,
-        "kmeans_assign": similarity.q_kmeans_assign,
-        "embedding_stats": similarity.q_embedding_stats,
         # deterministic content-hash sampling (resume/retry-stable):
         # Bernoulli + per-lang stratified top-k, one tagged-union row
         "hash_sample": _content_samples,
@@ -353,9 +307,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "minhash_pairs": dedup.q_minhash_pairs,
         "ngram_jaccard_pairs": dedup.q_ngram_jaccard_pairs,
         "dedup_clusters": dedup.q_dedup_clusters,
-        # similarity search
-        "cosine_topk": _cosine_topk_rerank,
-        "cosine_dup_pairs": similarity.q_cosine_dup_pairs,
         # benchmark decontamination over the documents table
         "decontaminate": text.q_decontaminate,
         # --- rows-only (no oracle by construction) ---
@@ -382,45 +333,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # SQL oracle; bit-identical to the pure-Python reference
         # trainer by test)
         "bpe_merges": _bpe_merges,
-        # full-data distributed Lloyd k-means training (iterative — no
-        # SQL oracle; parity with a local Lloyd run test-asserted)
-        "kmeans_train": similarity.q_kmeans_train,
         # (winnow_fingerprint was folded into the in-window merged
         # "fingerprint" row as exact per-doc count+bit_xor — the
         # exploded-rows variant was driver-green in round 3 and stays
         # covered by tests/test_text.py)
-        # approximate-by-construction near-dup search (recall-tested
-        # vs the exact blocked variant in unit tests)
-        "cosine_dup_pairs_ivf": similarity.q_cosine_dup_pairs_ivf,
-        "cosine_dup_pairs_lsh": similarity.q_cosine_dup_pairs_lsh,
-        "ivf_topk": similarity.q_ivf_topk,
-        # product-quantization ANN (Jégou et al. 2011): 32x-compressed
-        # uint8 codes, ADC codes-only scan, exact rerank of the
-        # shortlist — approximate by construction (reranked recall@10
-        # = 1.0 vs the oracled brute force is test-asserted)
-        "pq_topk": _pq_topk,
-        # margin-based bitext mining (Artetxe & Schwenk ratio margin,
-        # the LASER/CCMatrix parallel-pair stage): float margins ->
-        # rows-only; 100% planted-pair recall/precision test-asserted
-        "bitext_mine": _bitext_mine,
-        # distributed PCA over the embedding column (Gram-partial
-        # shuffle + driver eigh; local-numpy parity-tested)
-        "embedding_pca": similarity.q_embedding_pca,
         # multimodal plumbing (real BMP/PGM/PPM/PNG, WAV-PCM, raw-video
         # codecs; jpeg/webp/mp3/h264 stubbed at marked swap-in points;
         # schema/actor wiring real — rows-only)
         "image_features": _image_features,
-        # pHash image near-dup (DCT perceptual hash + 8x8-bit band LSH;
-        # exact for Hamming<=6 by pigeonhole — brute-force parity
-        # test-asserted; hash not SQL-expressible -> rows-only)
-        "image_phash_dups": _image_phash_dups,
-        # audio near-dup via Haitsma-Kalker subfingerprints + BER verify
-        # (brute-force parity test-asserted; not SQL-expressible ->
-        # rows-only)
-        "audio_fp_dups": _audio_fp_dups,
-        # video near-dup via frame-pHash banding + match-fraction verify
-        # (brute-force parity test-asserted; rows-only)
-        "video_fp_dups": _video_fp_dups,
         "audio_features": _audio_features,
         "video_frame_features": _video_frame_features,
         # flagship tiling pipeline (rows-only; MVT blob content gated
@@ -440,14 +360,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
 def oracle_sql(sf_dir: str = "sf0.01") -> dict[str, str]:
     """The DuckDB oracle of each checked queries() entry at `sf_dir`
     (sf0.01, the driver's scale, by default)."""
-    from tilemaker_ray.ops import dedup, relational, sampling, similarity, text
+    from tilemaker_ray.ops import dedup, relational, sampling, text
 
     out: dict[str, str] = {}
     out.update(sampling.ORACLES)
     out.update(relational.ORACLES)
     out.update(text.ORACLES)
     out.update(dedup.ORACLES)
-    out.update(similarity.ORACLES)
     # the flagship-points oracle reads the synthetic pages parquet of
     # the sf's page count (rows_for_sf reads only the directory name);
     # pages_path materializes (or reuses) the deterministic table
@@ -498,14 +417,6 @@ def oracle_sql(sf_dir: str = "sf0.01") -> dict[str, str]:
                      JOIN ({lm}) l ON t.doc_id = l.doc_id
                      JOIN ({lt}) lt ON t.doc_id = lt.doc_id
                      JOIN ({sp}) p ON t.doc_id = p.doc_id
-    """
-    from tilemaker_ray.ops.pq import rerank_topk_oracle_sql
-    ct = out.pop("cosine_topk")
-    out["cosine_topk"] = f"""
-        SELECT c.query_id, c.rank, c.vec_id, r.rr_vec_id
-        FROM ({ct}) c JOIN ({rerank_topk_oracle_sql()}) r
-          ON c.query_id = r.query_id AND c.rank = r.rank
-        ORDER BY c.query_id, c.rank
     """
     h, st = out.pop("hash_sample"), out.pop("stratified_sample")
     wt, lb = out.pop("weighted_sample"), out.pop("lang_balance")

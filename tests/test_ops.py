@@ -8,7 +8,7 @@ import pytest
 
 SF = "/root/testdata/sf0.001"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
-          "lineitem", "events", "documents", "embeddings"]
+          "lineitem", "events", "documents"]
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +42,13 @@ def check(name, con):
 
 ORACLED = [
     "lineitem_agg", "events_window", "token_count",
-    "quality_score", "dedup_keep_first", "cosine_topk",
+    "quality_score", "dedup_keep_first",
     "fingerprint", "ngram_jaccard_pairs",
     "asof_join", "events_lag_delta", "global_quantile",
-    "top_terms", "kmeans_assign", "hash_sample",
+    "top_terms", "hash_sample",
     "group_quantile", "tfidf_top_term", "dedup_clusters",
     "lang_vocab", "orders_running_total",
-    "events_hopping_window", "embedding_stats", "events_pivot",
+    "events_hopping_window", "events_pivot",
     "decontaminate",
 ]
 
@@ -195,44 +195,6 @@ def test_winnow_shared_substring_guarantee():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_lsh_dup_pairs_matches_exact_on_sf():
-    """Sign-LSH near-dup: precision is exact by construction (cosine
-    verify); at sf0.001 measured recall is complete too."""
-    import __ray_entry__ as E
-    exact = E.queries()["cosine_dup_pairs"](SF)
-    lsh = E.queries()["cosine_dup_pairs_lsh"](SF)
-    se = set(map(tuple, exact.values))
-    sl = set(map(tuple, lsh.values))
-    assert sl <= se          # exact precision
-    assert len(sl & se) >= 0.9 * len(se)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_lsh_dup_pairs_true_near_dup_regime(tmp_path):
-    """At a real dedup threshold (0.9) with planted perturbed copies,
-    LSH uses long bands (strong pruning) and still finds every pair."""
-    from tilemaker_ray.ops.similarity import (_lsh_bands_for,
-                                              q_cosine_dup_pairs,
-                                              q_cosine_dup_pairs_lsh)
-    r, _ = _lsh_bands_for(0.9)
-    assert r >= 8  # random-pair band collision <= 0.5^8
-    rng = np.random.default_rng(3)
-    base = rng.standard_normal((40, 16))
-    base /= np.linalg.norm(base, axis=1, keepdims=True)
-    dup = base[:10] + 0.07 * rng.standard_normal((10, 16))  # cos ~0.96
-    emb = np.concatenate([base, dup]).astype(np.float32)
-    pd.DataFrame({
-        "vec_id": np.arange(len(emb), dtype=np.int64),
-        "embedding": list(emb),
-        "label": np.zeros(len(emb), dtype=np.int32),
-    }).to_parquet(tmp_path / "embeddings.parquet")
-    exact = q_cosine_dup_pairs(str(tmp_path), threshold=0.9)
-    lsh = q_cosine_dup_pairs_lsh(str(tmp_path), threshold=0.9)
-    assert len(exact) >= 10
-    assert set(map(tuple, lsh.values)) == set(map(tuple, exact.values))
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_minhash_finds_near_dups(con):
     # plant a near-duplicate pair and check the LSH pipeline finds it
     from tilemaker_ray.ops.dedup import jaccard, minhash_signature, _minhash_params
@@ -248,16 +210,6 @@ def test_minhash_finds_near_dups(con):
     # identical docs collide in every band
     s3 = minhash_signature(t1, a, b)
     assert (s1 == s3).all()
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_ivf_recall():
-    import __ray_entry__ as E
-    brute = E.queries()["cosine_topk"](SF)
-    ivf = E.queries()["ivf_topk"](SF)
-    m = brute.merge(ivf, on=["query_id", "vec_id"], how="inner")
-    recall = len(m) / len(brute)
-    assert recall >= 0.5  # nprobe=4/16 on random vectors
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -303,23 +255,8 @@ def test_minhash_lsh_recall_complete(con):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_cosine_dup_ivf_recall():
-    """The approximate IVF near-dup path keeps usable recall vs the
-    exact blocked all-pairs (these 'dups' sit at cosine ≈0.45-0.51 —
-    far pairs — so recall < 1 is expected; assert a floor)."""
-    import __ray_entry__ as E
-    exact = E.queries()["cosine_dup_pairs"](SF)
-    approx = E.queries()["cosine_dup_pairs_ivf"](SF)
-    se = set(map(tuple, exact.values.tolist()))
-    sa = set(map(tuple, approx.values.tolist()))
-    assert not (sa - se)  # no false positives: exact verify per bucket
-    if se:
-        assert len(sa & se) / len(se) >= 0.5
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_flagship_point_counts_oracle(con):
-    """The full flagship engine path (extract actors → assign → pk
+    """The full flagship engine path (extract tasks → assign → pk
     shuffle → O3 sort + limit + combine assembly) vs the exact SQL twin
     (FNV-1a in list_reduce + mercator tile math) — VERDICT r2 #6."""
     import duckdb
@@ -556,68 +493,6 @@ def test_dedup_clusters_transitive_chain(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_block_pair_dups_off_diagonal():
-    """ADVICE r2: off-diagonal tiles must keep pairs whose SMALLER id
-    lives in the LATER block (non-monotonic ids across blocks)."""
-    import pyarrow as pa
-    import ray
-    from tilemaker_ray.ops.similarity import _block_pair_dups
-
-    def blk(ids, mat):
-        m = np.asarray(mat, np.float64)
-        m = m / np.linalg.norm(m, axis=1, keepdims=True)
-        emb = pa.FixedSizeListArray.from_arrays(pa.array(m.reshape(-1)), m.shape[1])
-        return pa.table({"vec_id": pa.array(ids, pa.int64()), "emb": emb})
-
-    # block A holds ids {10, 11}; block B holds ids {2, 3} — all four
-    # vectors identical, so every cross pair is a dup.  The round-2
-    # va < vb filter dropped ALL of these (va in {10,11} > vb in {2,3}).
-    v = [1.0, 0.0, 0.0]
-    a = blk([10, 11], [v, v])
-    b = blk([2, 3], [v, v])
-    va, vb = ray.get(_block_pair_dups.remote(a, b, False, 0.9))
-    got = set(zip(va.tolist(), vb.tolist()))
-    assert got == {(2, 10), (2, 11), (3, 10), (3, 11)}
-    # diagonal tile: strict upper triangle only
-    va, vb = ray.get(_block_pair_dups.remote(a, a, True, 0.9))
-    assert set(zip(va.tolist(), vb.tolist())) == {(10, 11)}
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_cosine_dup_ivf_scale_properties():
-    """VERDICT r2 #1 done-criteria: recall >=0.95 vs exact at sf0.1, and
-    the max bucket FRACTION shrinks as n grows (centroids ∝ sqrt(n)), so
-    no bucket group approaches O(n) — with an id-only shuffle the group
-    bytes stay tiny either way."""
-    import __ray_entry__ as E
-    sf = "/root/testdata/sf0.1"
-    exact = E.queries()["cosine_dup_pairs"](sf)
-    approx = E.queries()["cosine_dup_pairs_ivf"](sf)
-    se = set(map(tuple, exact.values.tolist()))
-    sa = set(map(tuple, approx.values.tolist()))
-    assert not (sa - se)
-    assert se and len(sa & se) / len(se) >= 0.95
-
-    # bucket-size bound: simulate assignment at n and 10n on synthetic
-    # near-orthogonal vectors with the production constants
-    from tilemaker_ray.ops.similarity import _n_centroids, DUP_ASSIGN_PROBE
-    rng = np.random.default_rng(3)
-    fracs = []
-    for n in (2000, 20000):
-        k = _n_centroids(n)
-        probe = min(k, DUP_ASSIGN_PROBE)
-        x = rng.standard_normal((n, 32))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        c = x[rng.choice(n, k, replace=False)]
-        sims = x @ c.T
-        top = np.argpartition(-sims, probe - 1, axis=1)[:, :probe]
-        counts = np.bincount(top.reshape(-1), minlength=k)
-        fracs.append(counts.max() / n)
-    assert fracs[1] < fracs[0]  # finer partitioning at larger n
-    assert fracs[1] < 0.25      # no bucket holds a quarter of the data
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_global_quantile_two_point_masses():
     """Two >cap point masses straddling different quantile ranks must
     BOTH refine independently (the old code bailed out of refinement
@@ -636,40 +511,6 @@ def test_global_quantile_two_point_masses():
     got = R.q_global_quantile(f"{d}/sf_fake2")
     for _, row in got.iterrows():
         assert abs(row["value"] - round(exp[row["q"]], 6)) < 1e-6, row
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_kmeans_train_matches_local_lloyd():
-    """Distributed Lloyd training equals a single-process run of the
-    same algorithm (same deterministic init, same iteration count) to
-    float-sum-reorder tolerance, and its final centroids have lower
-    inertia than the init."""
-    from tilemaker_ray.ops.similarity import (KMEANS_K,
-                                              KMEANS_TRAIN_ITERS,
-                                              _load_queries_k,
-                                              kmeans_train)
-    c = kmeans_train(SF)
-    emb = pd.read_parquet(f"{SF}/embeddings.parquet",
-                          columns=["embedding"])
-    x = np.stack(emb.embedding.to_numpy()).astype(np.float64)
-    x = x / np.linalg.norm(x, axis=1, keepdims=True)
-    _, qmat = _load_queries_k(SF, KMEANS_K)
-    ref = qmat / np.linalg.norm(qmat, axis=1, keepdims=True)
-    init = ref.copy()
-    for _ in range(KMEANS_TRAIN_ITERS):
-        best = np.argmax(x @ ref.T, axis=1)
-        nxt = ref.copy()
-        for j in range(KMEANS_K):
-            m = x[best == j]
-            if len(m):
-                v = m.mean(axis=0)
-                nxt[j] = v / np.linalg.norm(v)
-        ref = nxt
-    assert np.allclose(c, ref, atol=1e-9)
-
-    def inertia(cent):
-        return float((1 - (x @ cent.T).max(axis=1)).sum())
-    assert inertia(c) < inertia(init)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -873,29 +714,6 @@ def test_dedup_exact_confirm_path(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_gather_embeddings_skips_empty_shard_sentinels():
-    """Empty shards carry a (1, 0) range sentinel; the binary-searched
-    shard window must not let it hide real shards on either side
-    (review finding)."""
-    import pyarrow as pa
-    import ray
-
-    from tilemaker_ray.ops.similarity import _gather_embeddings
-
-    def shard(ids):
-        return ray.put(pa.table({
-            "vec_id": pa.array(np.array(ids, np.int64)),
-            "emb": pa.array([[1.0, 0, 0, 0] for _ in ids],
-                            pa.list_(pa.float64()))}))
-
-    refs = [shard([0, 5, 9]), shard([]), shard([10, 15, 19])]
-    ranges = np.array([(0, 9), (1, 0), (10, 19)], np.int64)
-    ids, mat = _gather_embeddings(np.array([5, 15], np.int64),
-                                  refs, ranges)
-    assert sorted(ids.tolist()) == [5, 15] and mat.shape == (2, 4)
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_gopher_rules_hand_computed(tmp_path):
     """Gopher gate on a corpus small enough to check by hand: word
     count, hapax count, mode frequency, and each rule's failure mode
@@ -987,45 +805,6 @@ def test_cdc_chunk_dedup(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_embedding_pca_parity_and_properties():
-    """Distributed PCA (Gram-partial shuffle + driver eigh) must match
-    a straight local numpy PCA under the same sign convention, with
-    orthonormal components and non-increasing explained variance."""
-    import pyarrow.parquet as pq
-
-    from tilemaker_ray.ops.similarity import (PCA_K, pca_model,
-                                              q_embedding_pca)
-
-    mean, evals, evecs = pca_model(SF)
-    k = PCA_K
-    assert np.all(np.diff(evals) <= 1e-9)                 # descending
-    assert np.allclose(evecs.T @ evecs, np.eye(evecs.shape[1]),
-                       atol=1e-9)                          # orthonormal
-
-    emb = np.stack(pq.read_table(f"{SF}/embeddings.parquet")
-                   .to_pandas().sort_values("vec_id")["embedding"]
-                   .to_numpy()).astype(np.float64)
-    mu = emb.mean(axis=0)
-    cov = (emb - mu).T @ (emb - mu) / (len(emb) - 1)
-    ev, w = np.linalg.eigh(cov)
-    order = np.argsort(ev)[::-1]
-    ev, w = ev[order], w[:, order]
-    for c in range(w.shape[1]):
-        if w[np.argmax(np.abs(w[:, c])), c] < 0:
-            w[:, c] = -w[:, c]
-    np.testing.assert_allclose(mean, mu, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(evals[:k], ev[:k], rtol=1e-8)
-    np.testing.assert_allclose(evecs[:, :k], w[:, :k], rtol=0, atol=1e-6)
-
-    proj = q_embedding_pca(SF)
-    expect = np.round((emb - mu) @ w[:, :k], 6)
-    got = proj[[f"pc{c + 1}" for c in range(k)]].to_numpy()
-    np.testing.assert_allclose(got, expect, rtol=0, atol=2e-6)
-    # projected variance reproduces the eigenvalues
-    np.testing.assert_allclose(got.var(axis=0, ddof=1), ev[:k], rtol=1e-4)
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_lm_tercile_matches_duckdb_ntile(con):
     """Exact distributed ntile (histogram-refinement cutoffs + tie
     resolution on doc_id) vs DuckDB ntile(3), tie-for-tie, plus the
@@ -1109,94 +888,6 @@ def test_lang_balance_properties():
     assert (kept > 0.6 * mn).all() and (kept < 1.4 * mn).all()
     # the dominant language was actually downsampled
     assert kept[n.idxmax()] < n.max() * 0.7
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestBitextMine:
-    def test_planted_pairs_exact(self):
-        """Forward margin mining recovers EVERY planted translation and
-        nothing else on the rotated-distractor fixture."""
-        import pandas as pd
-        from tilemaker_ray.ops.bitext import TGT_ID_BASE, q_bitext_mine
-        out = q_bitext_mine(SF)
-        src = pd.read_parquet(f"{SF}/embeddings.parquet",
-                              columns=["vec_id"])
-        planted = {int(v) for v in src.vec_id if v % 3 == 0}
-        assert set(out.src_id) == planted            # recall 1.0
-        assert (out.tgt_id == TGT_ID_BASE + out.src_id).all()  # precision
-
-    def test_margin_matches_numpy_bruteforce(self):
-        """The distributed two-pass margins equal a single-process
-        numpy recomputation of the Artetxe-Schwenk ratio margin."""
-        import pandas as pd
-        import ray
-        from tilemaker_ray.ops.bitext import (BITEXT_K, bitext_mine,
-                                              synth_tgt_table)
-        src_df = (pd.read_parquet(f"{SF}/embeddings.parquet",
-                                  columns=["vec_id", "embedding"])
-                  .sort_values("vec_id"))
-        tgt_t = synth_tgt_table(SF)
-        sm = np.stack(src_df.embedding.to_numpy()).astype(np.float64)
-        sm /= np.linalg.norm(sm, axis=1, keepdims=True)
-        tm = np.stack(tgt_t.column("embedding").to_pandas().to_numpy()
-                      ).astype(np.float64)
-        tm /= np.linalg.norm(tm, axis=1, keepdims=True)
-        tids = tgt_t.column("vec_id").to_numpy()
-        sims = sm @ tm.T
-        k = BITEXT_K
-        fwd_knn = np.sort(sims, axis=1)[:, -k:].mean(axis=1)
-        bwd_knn = np.sort(sims, axis=0)[-k:, :].mean(axis=0)
-        j = np.argmax(sims, axis=1)
-        best = sims[np.arange(len(sm)), j]
-        margin = best / ((fwd_knn + bwd_knn[j]) / 2)
-        exp = pd.DataFrame({
-            "src_id": src_df.vec_id.to_numpy(),
-            "tgt_id": tids[j],
-            "margin": np.round(margin, 6)})
-        exp = (exp[margin >= 1.5]
-               .sort_values("src_id").reset_index(drop=True))
-        got = bitext_mine(
-            ray.data.from_pandas(src_df.reset_index(drop=True)),
-            ray.data.from_arrow(tgt_t), margin_t=1.5)
-        pd.testing.assert_frame_equal(got, exp, check_dtype=False)
-
-    def test_margin_separation_gap(self):
-        """The fixture's planted/distractor margin gap straddles the
-        default threshold with real slack on both sides."""
-        import ray
-        from tilemaker_ray.ops.bitext import (BITEXT_MARGIN_T, TGT_ID_BASE,
-                                              bitext_mine, synth_tgt_table)
-        src = ray.data.read_parquet(f"{SF}/embeddings.parquet",
-                                    columns=["vec_id", "embedding"])
-        tgt = ray.data.from_arrow(synth_tgt_table(SF))
-        allp = bitext_mine(src, tgt, margin_t=0.0)
-        truth = (allp.tgt_id == TGT_ID_BASE + allp.src_id) & \
-                (allp.src_id % 3 == 0)
-        lo, hi = allp[~truth].margin.max(), allp[truth].margin.min()
-        assert lo < BITEXT_MARGIN_T < hi
-        assert hi - lo > 0.2            # a real gap, not a knife edge
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_bitext_empty_side_returns_empty():
-    """An empty corpus side (a language shard filtered to nothing)
-    mines zero pairs instead of crashing (review r4)."""
-    import pyarrow as pa
-    import ray
-    from tilemaker_ray.ops.bitext import bitext_mine, synth_tgt_table
-    dim = 64
-    empty = ray.data.from_arrow(pa.table({
-        "vec_id": pa.array([], pa.int64()),
-        "embedding": pa.FixedSizeListArray.from_arrays(
-            pa.array([], pa.float64()), dim)}))
-    tgt = ray.data.from_arrow(synth_tgt_table(SF))
-    out = bitext_mine(empty, tgt)
-    assert len(out) == 0 and list(out.columns) == ["src_id", "tgt_id",
-                                                   "margin"]
-    src = ray.data.read_parquet(f"{SF}/embeddings.parquet",
-                                columns=["vec_id", "embedding"])
-    out2 = bitext_mine(src, empty)
-    assert len(out2) == 0
 
 
 @pytest.mark.usefixtures("ray_session")

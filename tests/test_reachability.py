@@ -15,6 +15,11 @@ PKG = "tilemaker_ray"
 ROOTS = ["__main__", "pipelines.flagship", "pipelines.osm",
          "pipelines.incremental", "pipelines.resumable", "serve",
          "sinks.*", "stages.spatial_join"]
+# Modules that only the driver contract (__ray_entry__.py) reaches:
+# the LLM-data operators still waiting to be cut.
+DRIVER_ONLY = {f"{PKG}.ops.{m}" for m in
+               ("bpe", "dedup", "sampling", "jpeg", "png", "webp",
+                "multimodal")}
 
 
 def _modules() -> dict[str, Path]:
@@ -61,7 +66,7 @@ def _reachable(mods: dict[str, Path], roots: set[str]) -> set[str]:
     return seen
 
 
-def _roots(mods: dict[str, Path]) -> set[str]:
+def _tile_roots(mods: dict[str, Path]) -> set[str]:
     roots = set()
     for r in ROOTS:
         if r.endswith(".*"):
@@ -69,8 +74,12 @@ def _roots(mods: dict[str, Path]) -> set[str]:
             roots.update(m for m in mods if m.startswith(prefix))
         else:
             roots.add(f"{PKG}.{r}")
-    roots.update(_imports(ROOT / "__ray_entry__.py", "__ray_entry__", mods))
     return roots
+
+
+def _roots(mods: dict[str, Path]) -> set[str]:
+    return _tile_roots(mods) | _imports(ROOT / "__ray_entry__.py",
+                                        "__ray_entry__", mods)
 
 
 def test_roots_exist():
@@ -83,3 +92,15 @@ def test_every_module_is_reachable_from_a_tile_path():
     mods = _modules()
     dead = sorted(set(mods) - _reachable(mods, _roots(mods)))
     assert not dead, f"modules no tiling entry point imports: {dead}"
+
+
+def test_driver_only_modules_are_listed():
+    """Ratchet: a module that no tiling entry point imports, and that
+    only the driver contract keeps alive, must be one of DRIVER_ONLY.
+    A new driver-only module fails here. Each cut of an operator group
+    removes its modules from DRIVER_ONLY; once the set is empty,
+    ``__ray_entry__`` leaves the roots and every module must be
+    reachable from ROOTS alone."""
+    mods = _modules()
+    driver_only = set(mods) - _reachable(mods, _tile_roots(mods))
+    assert driver_only <= DRIVER_ONLY, sorted(driver_only - DRIVER_ONLY)

@@ -10,7 +10,7 @@ algorithms are ports of the reference's boost::geometry usage:
 - point-in-polygon: ray cast (boost::geometry::within semantics on the
   boundary are not guaranteed; tests avoid exact-boundary points)
 
-In-memory representation (within a render group / join actor):
+In-memory representation (within a render group / extraction task):
 - point: (lon, latp) floats
 - linestring / ring: ndarray (n, 2) float64, columns (lon, latp);
   rings are closed (first == last)

@@ -70,16 +70,6 @@ def douglas_peucker(ls: np.ndarray, max_distance: float) -> np.ndarray:
 
 # --- topology-preserving polygon simplify (geom.cpp:15-114) -------------
 
-def _segs_of(ring: np.ndarray) -> np.ndarray:
-    """(n-1, 4) array of segment bboxes [minx,miny,maxx,maxy]."""
-    a = ring[:-1]
-    b = ring[1:]
-    return np.column_stack([
-        np.minimum(a[:, 0], b[:, 0]), np.minimum(a[:, 1], b[:, 1]),
-        np.maximum(a[:, 0], b[:, 0]), np.maximum(a[:, 1], b[:, 1]),
-    ])
-
-
 class _SegSet:
     """Mutable set of segments supporting bbox-intersects counting —
     stands in for the boost rtree<segment> in simplify_ring. Segment

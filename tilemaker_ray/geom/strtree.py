@@ -2,10 +2,9 @@
 reference's boost rtree<quadratic<128>> spatial-join index
 (/root/reference/src/shp_mem_tiles.cpp:129-197, tile_data.h:365-367).
 
-Built once per join actor from the broadcast build side (`ray.put` the
-(bboxes, geometries) on the driver; actors construct the tree in
-__init__). Query = bbox intersects → candidate indices; exact predicate
-runs on the candidates.
+Built once on the driver, inside the spatial join's PolygonIndex, and
+carried to the extraction tasks with it. Query = bbox intersects →
+candidate indices; exact predicate runs on the candidates.
 """
 
 from __future__ import annotations

@@ -451,7 +451,6 @@ def q_orders_running_total(sf_dir: str) -> pd.DataFrame:
 
 
 HOP_SECONDS = 1800
-WINDOW_SECONDS = 3600
 
 
 def q_events_hopping_window(sf_dir: str) -> pd.DataFrame:

@@ -117,14 +117,6 @@ def tile_dataset(pages_dir: str, config: Config | None = None,
     return chain.tiles(feats, nparts, config)
 
 
-def run_flagship(pages_dir: str, out_dir: str | None = None,
-                 config: Config | None = None) -> ray.data.Dataset:
-    tiles = tile_dataset(pages_dir, config)
-    if out_dir:
-        tiles.write_parquet(out_dir)
-    return tiles
-
-
 # --- SQL-oracled flagship slice (VERDICT r2 #6) ---------------------------
 
 def points_oracle_config() -> Config:

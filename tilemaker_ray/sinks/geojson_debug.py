@@ -13,8 +13,6 @@ import json
 from .. import tilemath as tm
 from ..geom import core as gc
 
-GEOM_NAMES = {}
-
 
 def _ring_to_coords(ring):
     return [[float(x), float(tm.latp2lat(y))] for x, y in ring]

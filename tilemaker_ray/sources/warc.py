@@ -125,31 +125,6 @@ def write_warc_dir(ds, out_dir: str, compress: bool = True) -> int:
     return len(parts)
 
 
-def warc_path(n_rows: int, seed: int = 42,
-              root: str = "/tmp/tilemaker_ray_warc") -> str:
-    """Materialize (once, cached) the deterministic synthetic crawl as
-    a per-record-gzip .warc.gz — the bench/test twin of
-    `pages.pages_path` for the WARC source path."""
-    import glob
-    import os
-
-    import pyarrow.parquet as pq
-
-    from .pages import pages_path
-
-    os.makedirs(root, exist_ok=True)
-    p = os.path.join(root, f"n{n_rows}_s{seed}.warc.gz")
-    if os.path.exists(p):
-        return p
-    d = pages_path(n_rows, seed)
-    tabs = [pq.read_table(f)
-            for f in sorted(glob.glob(os.path.join(d, "*.parquet")))]
-    tmp = p + ".tmp"
-    write_warc(pa.concat_tables(tabs), tmp)
-    os.replace(tmp, p)
-    return p
-
-
 def index_warc_gz(path: str) -> list[tuple[int, int]]:
     """Byte ranges [(start, end), ...] of the gzip members of a
     multi-member .warc.gz — the record index that makes the file

@@ -5,11 +5,12 @@ Reference: index build /root/reference/src/shp_mem_tiles.cpp:129-197
 Intersects/FindIntersecting/CoveredBy/FindCovering/AreaIntersecting
 (osm_lua_processing.cpp:377-470).
 
-Ray-Data mapping: the layer is small → `ray.put` the raw polygon table
-once on the driver; every join actor builds the PolygonIndex in
-__init__ (STRtree of bboxes + a coarse-cell membership prefilter at
-CELL_ZOOM, mirroring the z15 bitmap's "false positives cleaned by the
-exact predicate" semantics, shp_mem_tiles.cpp:58-127).
+Ray-Data mapping: the layer is small, so `PageFeatureExtractor.__init__`
+(stages/extract.py) builds the PolygonIndex once on the driver (STRtree
+of bboxes + a coarse-cell membership prefilter at CELL_ZOOM, mirroring
+the z15 bitmap's "false positives cleaned by the exact predicate"
+semantics, shp_mem_tiles.cpp:58-127) and the index travels to every
+extraction task inside the extractor instance.
 
 AreaIntersecting is exact for all region shapes: convex regions take
 the O(n) Sutherland-Hodgman convex clip, concave regions the exact
