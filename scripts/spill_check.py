@@ -24,6 +24,7 @@ import hashlib
 import os
 import re
 import sys
+import threading
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -43,29 +44,51 @@ def _collect() -> tuple[dict, float]:
     n_rows = int(sys.argv[1]) if len(sys.argv) > 1 else 60_000
     d = pages_path(n_rows)
     out = {}
-    tiles = tile_dataset(d)
-    # sample the spill directory WHILE iterating (ADVICE r4: Ray
-    # deletes spilled files as consumed objects are freed, so a
-    # post-run listing is timing-dependent) — track the running max
-    peak_spill = _spilled_mb()
-    for b in tiles.iter_batches(batch_format="pandas", batch_size=4096):
-        peak_spill = max(peak_spill, _spilled_mb())
-        for z, x, y, m in zip(b["zoom"], b["tile_x"], b["tile_y"], b["mvt"]):
-            out[(int(z), int(x), int(y))] = hashlib.md5(bytes(m)).hexdigest()
-    return out, max(peak_spill, _spilled_mb())
+    # sample the spill directory from before tile_dataset() is called
+    # until the last tile is read (ADVICE r4: Ray deletes spilled files
+    # as consumed objects are freed, so a post-run listing is
+    # timing-dependent): the exchange runs, and spills, inside
+    # tile_dataset() itself — track the running max
+    peak = [0.0]
+    done = threading.Event()
+
+    def sample():
+        while not done.is_set():
+            peak[0] = max(peak[0], _spilled_mb())
+            done.wait(0.05)
+
+    sampler = threading.Thread(target=sample, daemon=True)
+    sampler.start()
+    try:
+        tiles = tile_dataset(d)
+        for b in tiles.iter_batches(batch_format="pandas", batch_size=4096):
+            for z, x, y, m in zip(b["zoom"], b["tile_x"], b["tile_y"],
+                                  b["mvt"]):
+                out[(int(z), int(x), int(y))] = \
+                    hashlib.md5(bytes(m)).hexdigest()
+    finally:
+        done.set()
+        sampler.join()
+    return out, max(peak[0], _spilled_mb())
 
 
 def _spilled_mb() -> float:
     """Bytes written to this session's disk-spill directory (the
     memory_summary API needs grpc, which this sandbox lacks — the
-    spill files themselves are the ground truth anyway)."""
+    spill files themselves are the ground truth anyway). Ray deletes
+    spill files while this runs; one gone between the listing and its
+    size counts as zero."""
     import glob
 
     import ray._private.worker as w
     d = w._global_node.get_session_dir_path()
-    return sum(os.path.getsize(f) for f in
-               glob.glob(os.path.join(d, "ray_spilled_objects*", "*"))
-               ) / (1024 * 1024)
+    total = 0
+    for f in glob.glob(os.path.join(d, "ray_spilled_objects*", "*")):
+        try:
+            total += os.path.getsize(f)
+        except FileNotFoundError:
+            continue
+    return total / (1024 * 1024)
 
 
 def leg(store_bytes: int) -> tuple[dict, float]:

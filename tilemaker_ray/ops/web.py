@@ -18,12 +18,12 @@ import pyarrow as pa
 import ray.data
 
 # Scale shape: each snapshot is hashed in its own streaming pass (the
-# shuffle carries (url, md5, side) — never page bytes), the union is
+# exchange carries (url, md5, side) — never page bytes), the union is
 # bucketed by a url hash and each bucket resolves its statuses in one
 # vectorised pass (_resolve_statuses). The bucket count follows the
-# input size by the rule the tile exchange uses: each group costs Ray
-# ~1.7 ms whatever its size, so a count fixed for large crawls would
-# make a small one pay mostly for groups it barely fills.
+# input size by the rule the tile exchange uses, so a small crawl is
+# not cut into many buckets it barely fills; the exchange runs at most
+# one reducer task per input block whatever the bucket count.
 
 
 def _resolve_statuses(g: pd.DataFrame) -> pd.DataFrame:
@@ -58,14 +58,16 @@ def crawl_delta_ds(old_dir: str, new_dir: str,
     """(url, status ∈ {new, gone, changed, unchanged}) Dataset across
     two page-snapshot dirs — the CDX-style revisit classifier.  A
     tagged-union bucket join: both sides hash to the same url bucket,
-    ONE groupby resolves each url's pair of content hashes (no
-    driver-side join; each group touches only its bucket's urls).
+    ONE exchange (pipelines/chain.exchange) resolves each url's pair of
+    content hashes (no driver-side join; each bucket touches only its
+    own urls).
 
     `content_cols` defines what counts as "changed" (md5 over the
     concatenation).  The default matches the CDX convention (body
     text); the incremental tile pipeline passes every column feature
     extraction reads — a lang-only re-annotation MUST count as changed
     there or its tiles go stale (review r4)."""
+    from ..pipelines.chain import exchange
     from ..stages.salted import data_num_partitions, dir_input_bytes
     sides = {"old": old_dir, "new": new_dir}
     buckets = data_num_partitions(dir_input_bytes(old_dir)
@@ -90,9 +92,8 @@ def crawl_delta_ds(old_dir: str, new_dir: str,
     parts = [ray.data.read_parquet(p, columns=["url", *content_cols])
                 .map_batches(hashed(s), batch_format="pyarrow")
              for s, p in sides.items()]
-    both = parts[0].union(parts[1])
-    return both.groupby("bucket").map_groups(_resolve_statuses,
-                                             batch_format="pandas")
+    return exchange(parts[0].union(parts[1]), "bucket",
+                    _resolve_statuses, buckets)
 
 
 def crawl_delta_oracle_sql(old_dir: str, new_dir: str) -> str:

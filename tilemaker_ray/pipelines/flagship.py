@@ -7,13 +7,14 @@ Ray-Data lifecycle:
       → map_batches(GeomMap)                           [A1 explode +
                                                         clip/simplify/scale]
       → map_batches(add_partition_key)                 [exchange key]
-      → groupby("pk").map_groups(TileAssembler)        [A3-A5 + encode]
+      → chain.exchange("pk", TileAssembler)            [A3-A5 + encode]
       → write_parquet / iter_batches / a tile sink     [sink]
 
-Everything streams; the only all-to-all exchange is the groupby on the
-macro-block partition key. The three stages after extraction are the
-tile chain (pipelines/chain.py) the OSM and incremental pipelines run
-too.
+Everything streams up to the only all-to-all exchange, on the
+macro-block partition key: a split task cuts each GeomMap block by key,
+then reduce tasks run the assembler once per key they hold. The three
+stages after extraction are the tile chain (pipelines/chain.py) the OSM
+and incremental pipelines run too.
 """
 
 from __future__ import annotations
@@ -99,15 +100,6 @@ def tile_dataset(pages_dir: str, config: Config | None = None,
     """pages → MVT tiles: feature_dataset, then the tile chain
     (pipelines/chain.py) with one exchange."""
     config = config or default_config()
-    # smaller blocks through the tile shuffle: the sort would otherwise
-    # pack the whole exploded dataset into a couple of 128 MB blocks and
-    # the assembly stage would run 1-2 tasks. 8 MB ≈ 30-60 assembly
-    # tasks at sf0.1; at 100 TB the natural block count dwarfs this and
-    # the knob is a no-op.
-    from ray.data import DataContext
-    ctx = DataContext.get_current()
-    if ctx.target_max_block_size is None or ctx.target_max_block_size > 8 * 1024 * 1024:
-        ctx.target_max_block_size = 8 * 1024 * 1024
     feats = feature_dataset(pages_dir, config, with_joins=with_joins,
                             profile_factory=profile_factory)
     # data-derived exchange width: est exploded bytes / target group

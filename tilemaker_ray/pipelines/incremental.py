@@ -10,10 +10,11 @@ maintenance the Ray-Data design makes natural:
 
 1. **Delta classification** — `ops/web.py:crawl_delta_ds` (the
    CDX-style revisit classifier): one tagged-union bucket join over
-   (url, md5 of every column extraction reads) gives each url's
-   status ∈ {new, gone, changed, unchanged}.  The buckets are sized
-   from the two snapshots' bytes, as the tile exchange's partitions
-   are, and each resolves its urls in one vectorised pass.  Only the
+   (url, md5 of every column extraction reads), run as a
+   `chain.exchange` on the url bucket, gives each url's status ∈
+   {new, gone, changed, unchanged}.  The buckets are sized from the
+   two snapshots' bytes, as the tile exchange's partitions are, and
+   each resolves its urls in one vectorised pass.  Only the
    non-`unchanged` slice (a few percent of a recrawl) ever leaves
    this stage.
 2. **Delta geometry** — the extractor + single-pass GeomMap run over
@@ -31,13 +32,15 @@ maintenance the Ray-Data design makes natural:
    to a Bloom filter (`bloom_bits`): per-batch partial bitmaps
    OR-merged (the driver only ever holds m_bits/8 bytes), broadcast
    via ray.put, Bloom-NEGATIVE rows pass through untouched, and only
-   the Bloom-positive sliver rides a tagged-union bucket join against
-   the retract ids for the EXACT confirm — no driver id set at any
-   delta size.
+   the Bloom-positive sliver rides a tagged-union bucket join (one
+   `chain.exchange`, run once and shared by the patched store and the
+   re-assembly) against the retract ids for the EXACT confirm — no
+   driver id set at any delta size.
 4. **Affected-tile re-assembly** — affected tiles T = tile keys of
    retracted ∪ inserted rows; the patched store filtered to T goes
-   through the SAME pk exchange + TileAssembler as the full pipeline,
-   so re-rendered tiles are byte-identical to a full run's.
+   through the SAME pk exchange (`chain.assemble`) + TileAssembler as
+   the full pipeline, so re-rendered tiles are byte-identical to a full
+   run's.
    Untouched tiles pass through from the previous tile output — a
    DATASET end-to-end (VERDICT r4 #2: the tile table at 100x is
    hundreds of millions of gzipped MVT rows, not driver-sized) via an
@@ -114,8 +117,8 @@ def save_store(store: ray.data.Dataset, path: str) -> None:
 
 def _restore_store_dtypes(df: pd.DataFrame) -> pd.DataFrame:
     """Store rows back to the dtypes the assembler expects — shared by
-    the parquet reload and the Bloom confirm join (whose tagged-union
-    sort upcasts numeric columns to object)."""
+    the parquet reload and the Bloom confirm join (whose tagged union
+    with the all-None id leg upcasts numeric columns to object)."""
     df = df.copy()
     df["zoom"] = df["zoom"].astype(np.uint8)
     df["tile_x"] = df["tile_x"].astype(np.uint32)
@@ -256,18 +259,13 @@ def _fid_keys(df: pd.DataFrame) -> np.ndarray:
     return df["feature_id"].to_numpy().astype(np.uint64).view(np.int64)
 
 
-def _drop_retracted_bloom(rows: ray.data.Dataset,
-                          retracted: ray.data.Dataset,
-                          bits_ref, m_bits: int) -> ray.data.Dataset:
-    """`rows` minus rows whose feature_id is retracted — EXACT at any
-    retract-set size: Bloom-negative rows (no false negatives) pass
-    through without shuffling; only the Bloom-positive sliver (true
-    retractions + ~FPR false positives) rides a tagged-union bucket
-    join against the retract ids for the exact confirm."""
-    def negatives(df: pd.DataFrame) -> pd.DataFrame:
-        bits = ray.get(bits_ref)
-        return df[~bloom_contains(bits, _fid_keys(df), m_bits)]
-
+def _bloom_survivors(rows: ray.data.Dataset,
+                     retracted: ray.data.Dataset,
+                     bits_ref, m_bits: int) -> ray.data.Dataset:
+    """The Bloom-positive rows of `rows` whose feature_id is NOT
+    retracted: the positive sliver (true retractions + ~FPR false
+    positives) rides a tagged-union bucket join against the retract ids
+    (chain.exchange) for the exact confirm. Runs `rows` when called."""
     def positives(df: pd.DataFrame) -> pd.DataFrame:
         bits = ray.get(bits_ref)
         keys = _fid_keys(df)
@@ -296,13 +294,10 @@ def _drop_retracted_bloom(rows: ray.data.Dataset,
             return keep
         return _restore_store_dtypes(keep)
 
-    survivors = (rows.map_batches(positives, batch_format="pandas")
-                 .union(retracted.map_batches(id_leg,
-                                              batch_format="pandas"))
-                 .groupby("_bk")
-                 .map_groups(confirm, batch_format="pandas"))
-    return rows.map_batches(negatives,
-                            batch_format="pandas").union(survivors)
+    return chain.exchange(
+        rows.map_batches(positives, batch_format="pandas")
+            .union(retracted.map_batches(id_leg, batch_format="pandas")),
+        "_bk", confirm, _CONFIRM_BUCKETS)
 
 
 def incremental_update(old_dir: str, new_dir: str,
@@ -364,13 +359,26 @@ def incremental_update(old_dir: str, new_dir: str,
     stats["retract_path"] = "bloom" if use_bloom_ids else "set"
     stats["n_retract"] = n_retract
     stats["n_insert"] = n_insert
+    survivors = None
     if retracted is None:
         drop_retract = None
     elif use_bloom_ids:
+        # Bloom-negative rows pass through without moving. The confirm
+        # exchange runs once, here, over the whole store's positive
+        # sliver; the patched store and the affected-tile rows below
+        # both take their confirmed survivors from it, so each of them
+        # scans the store once more (for its negatives) instead of
+        # twice.
         m_id = _bloom_m_bits(n_retract)
         id_bits = ray.put(_bloom_of([retracted], _fid_keys, m_id))
-        drop_retract = lambda ds: _drop_retracted_bloom(   # noqa: E731
-            ds, retracted, id_bits, m_id)
+        survivors = _bloom_survivors(old_store, retracted, id_bits, m_id)
+
+        def _negatives(df: pd.DataFrame) -> pd.DataFrame:
+            keys = _fid_keys(df)
+            return df[~bloom_contains(ray.get(id_bits), keys, m_id)]
+
+        drop_retract = lambda ds: ds.map_batches(   # noqa: E731
+            _negatives, batch_format="pandas")
     else:
         drop_ids = np.sort(np.unique(
             retracted.to_pandas()["feature_id"].to_numpy(np.uint64)))
@@ -383,8 +391,9 @@ def incremental_update(old_dir: str, new_dir: str,
             _drop_set, batch_format="pandas")
 
     new_store = old_store if drop_retract is None else drop_retract(old_store)
-    if inserted is not None:
-        new_store = new_store.union(inserted)
+    for extra in (survivors, inserted):
+        if extra is not None:
+            new_store = new_store.union(extra)
 
     # 4. re-assemble ONLY the affected tiles, scanning the BASE store
     # (one pass, filter fused into the scan) + the insert delta —
@@ -430,6 +439,9 @@ def incremental_update(old_dir: str, new_dir: str,
     affected_rows = old_store.map_batches(affected, batch_format="pandas")
     if drop_retract is not None:
         affected_rows = drop_retract(affected_rows)
+    if survivors is not None:
+        affected_rows = affected_rows.union(
+            survivors.map_batches(affected, batch_format="pandas"))
     if inserted is not None:
         affected_rows = affected_rows.union(inserted)
     redone = assemble_tiles(affected_rows, nparts, config)

@@ -31,6 +31,7 @@ from ..config import Config, LayerDef
 from ..geom import core as gc
 from ..profile import Emitter, hash_url
 from ..sources import pbf
+from .chain import exchange, tiles
 
 
 # --- significant-tag prefilter (M2) -------------------------------------
@@ -281,7 +282,7 @@ class WayAssembler:
     """Per-worker node-store reader (ST3 way assembly): vectorized
     np.searchsorted gather of every way's refs against the sorted
     shards.  No shuffle: ways stay in their parse partitions — this
-    replaced the round-1 refs-explode → hash join → per-way map_groups
+    replaced the round-1 refs-explode → hash join → per-way group map
     chain (two all-to-alls and one 1-row DataFrame per way).
 
     Shards load LAZILY per range actually referenced (VERDICT r2 #5):
@@ -440,10 +441,11 @@ def multipolygon_members(path: str) -> dict[int, list[tuple[int, str, str]]]:
 def assembled_multipolygons(path: str, num_partitions: int = 8,
                             ways_ds: ray.data.Dataset | None = None) -> ray.data.Dataset:
     """Relation multipolygon assembly (M9, J2): member ways tagged
-    map-side from the broadcast member table, one groupby(rel_id) to
-    co-locate each relation's fragments, rings stitched from way
-    fragments (endpoint matching, mergeMultiPolygonWays semantics) →
-    inners assigned to the containing outer by PIP.
+    map-side from the broadcast member table, one exchange
+    (chain.exchange) on a rel_id partition key to co-locate each
+    relation's fragments, rings stitched from way fragments (endpoint
+    matching, mergeMultiPolygonWays semantics) → inners assigned to the
+    containing outer by PIP.
     Returns rows (id, tags, geom [packed mp])."""
     members_ref = ray.put(multipolygon_members(path))
     if ways_ds is None:
@@ -522,9 +524,8 @@ def assembled_multipolygons(path: str, num_partitions: int = 8,
         df["pk"] = (df["rel_id"].to_numpy() % num_partitions).astype(np.int32)
         return df
 
-    return (joined.map_batches(add_rel_pk, batch_format="pandas")
-                  .groupby("pk")
-                  .map_groups(build_partition, batch_format="pandas"))
+    return exchange(joined.map_batches(add_rel_pk, batch_format="pandas"),
+                    "pk", build_partition, num_partitions)
 
 
 def relation_scan_tables(path: str, scan_fn=None, postscan_fn=None):
@@ -893,7 +894,6 @@ def osm_tile_dataset(path, config: Config | None = None,
     single-pass engine as the web flagship."""
     config = config or osm_config()
     from ..stages.salted import data_num_partitions, dir_input_bytes
-    from .chain import tiles
     feats = osm_feature_dataset(path, config, profile=profile)
     nparts = data_num_partitions(sum(dir_input_bytes(p)
                                      for p in _paths(path)))

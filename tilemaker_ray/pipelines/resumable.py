@@ -6,7 +6,7 @@ TWO checkpointed stages — the job resumes MID-SHUFFLE (north rule):
 Stage A (extract → geometry → partition key): partition unit = one
 input pages parquet block file.  Each file's exploded feature rows are
 written to out_dir/features/<stem>.parquet (atomic rename) with a
-`ft-<stem>` manifest row BEFORE the assembly shuffle, so a crash
+`ft-<stem>` manifest row BEFORE the assembly exchange, so a crash
 between the two stages resumes by re-extracting only the missing
 files; finished extraction work — the expensive stateful-parser stage
 — is never repeated.  The exchange width (pk count) is pinned in
@@ -16,7 +16,7 @@ recompute-stage-A path (their chunk tasks self-sync on byte ranges,
 not files).
 
 Stage B (assembly): partition unit = the stage-B macro-block group
-(zoom, mx, my) — the same key as the assembly shuffle, so the
+(zoom, mx, my) — the same key as the assembly exchange, so the
 skip-filter sits right after the stage-A checkpoint read and completed
 partitions never re-enter the exchange.
 
@@ -133,7 +133,7 @@ def run_resumable(pages_dir: str, out_dir: str,
                   checkpoint_features: bool | None = None) -> dict:
     """Run (or resume) the flagship into out_dir. Returns summary stats.
     Completed partitions (per the manifest) are skipped per stage:
-    stage A by input block file, stage B — after the shuffle boundary —
+    stage A by input block file, stage B — after the exchange boundary —
     via a broadcast key-set filter.  checkpoint_features defaults to
     True for parquet pages dirs, False for WARC inputs (whose stage A
     is re-derived from byte ranges, not files)."""
@@ -158,11 +158,6 @@ def run_resumable(pages_dir: str, out_dir: str,
         nparts = data_num_partitions(dir_input_bytes(pages_dir))
         with open(meta_path, "w") as f:
             json.dump({"num_partitions": nparts, "pages": pages_dir}, f)
-
-    from ray.data import DataContext
-    ctx = DataContext.get_current()
-    if ctx.target_max_block_size is None or ctx.target_max_block_size > 8 * 1024 * 1024:
-        ctx.target_max_block_size = 8 * 1024 * 1024
 
     def skip_done(df: pd.DataFrame) -> pd.DataFrame:
         """Anti-join against the completed-partition set. Captured in
@@ -212,8 +207,7 @@ def run_resumable(pages_dir: str, out_dir: str,
         partials = (chain.geometry(feature_dataset(pages_dir, config), config)
                     .map_batches(add_pk, batch_format="pandas")
                     .map_batches(skip_done, batch_format="pandas"))
-    tiles = partials.groupby("pk").map_groups(
-        run_assemble, batch_format="pandas")
+    tiles = chain.exchange(partials, "pk", run_assemble, nparts)
     summary = tiles.map_batches(
         lambda df: pd.DataFrame({"tiles": [len(df)],
                                  "bytes": [int(df["n_bytes"].sum()) if len(df) else 0]}),

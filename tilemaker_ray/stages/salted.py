@@ -75,7 +75,8 @@ class GeomMap:
     tile) rows all come from the input row that holds the feature, so
     they are already together in its batch, and the clip cache's
     parent-zoom reuse only needs a feature's tiles to be processed
-    together. The chain's only exchange is the assembly groupby.
+    together. The chain's only exchange is the assembly's
+    (pipelines/chain.exchange).
 
     Used as: feature_ds.map_batches(<GeomMap instance wrapper>,
     batch_format="pyarrow").
@@ -618,10 +619,10 @@ def bbox_mask(df: pd.DataFrame, config: Config) -> np.ndarray:
 def add_partition_key(df: pd.DataFrame, num_partitions: int) -> pd.DataFrame:
     """Exchange key for the assembly: a single int hash of (zoom, mx, my).
 
-    Grouping by one small-int column makes the all-to-all exchange a
-    cheap low-cardinality sort (measured 7.4s vs 17.1s for the 3-key
-    sort at sf0.1/32cpus); tiles of one macro-block always share a pk,
-    and the assembler handles arbitrary mixtures inside a group."""
+    One small-int column lets the exchange route a row by `pk % reducers`
+    and find its groups by one integer sort inside each reducer; tiles
+    of one macro-block always share a pk, and the assembler handles
+    arbitrary mixtures inside a group."""
     key = (df["zoom"].astype(np.int64) * 1000003
            + df["mx"].astype(np.int64) * 7919
            + df["my"].astype(np.int64))
@@ -636,9 +637,9 @@ def default_num_partitions() -> int:
     return max(64, n * 4)
 
 
-# assembly exchange sizing (VERDICT r2 #4): groups are pandas-materialized by
-# map_groups, so the partition count must come from DATA volume, not
-# CPU count — data/P per group explodes at 100 TB with a fixed P.
+# assembly exchange sizing (VERDICT r2 #4): each group is one pandas frame
+# in its reduce task, so the partition count must come from DATA volume,
+# not CPU count — data/P per group explodes at 100 TB with a fixed P.
 TARGET_GROUP_BYTES = 32 << 20  # max in-memory bytes an assembly group should hold
 EXPLODE_FACTOR = 16.0          # exploded in-memory bytes / compressed input
                                # bytes (measured 14.2x at sf0.01; rounded up)
