@@ -3,7 +3,9 @@ the same tiles as the in-process tile chain (pipelines/chain.py
 tiles_local) over the same features.
 
 The input is the synthetic pages parquet, or the same pages written to
-a .warc.gz, or a seeded synthetic .osm.pbf (scripts/synth_pbf.py). A
+a .warc.gz, or a seeded synthetic .osm.pbf (scripts/synth_pbf.py). The
+`resume` kind builds the parquet pages with run_resumable
+(pipelines/resumable.py) and reads its tiles/pk*.parquet back. A
 WARC build derives text and lang from html (flagship.derive_pages), so
 its reference runs the same derivation in process over the parquet
 pages. An OSM build (osm_tile_dataset) is compared with tiles_local
@@ -11,12 +13,12 @@ over the features osm_feature_dataset gives in the same Ray session.
 
 Every stage of the build runs as plain Ray tasks, the extractor and
 the OSM node store included, so no stage holds a CPU for the whole
-run: on one CPU the read, extract, geometry and exchange tasks take
-turns on the core. An actor pool sized to the CPU count would hold
+run: on one CPU the map tasks (read, extract, geometry, split) and the
+reducers take turns on the core. An actor pool sized to the CPU count would hold
 every CPU and leave none for the other stages, and the build would
 wait forever; this check guards against that coming back.
 
-Run:  python scripts/small_cpu_check.py <num_cpus> [n] [parquet|warc|osm]
+Run:  python scripts/small_cpu_check.py <num_cpus> [n] [parquet|warc|osm|resume]
 n is the page count (default 500), or for osm the node count, with
 n // 15 ways and n // 500 relations.
 Prints "SMALL CPU OK cpus=<n> input=<kind> tiles=<k>" on success.
@@ -51,7 +53,7 @@ def main() -> int:
     num_cpus = int(sys.argv[1])
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 500
     kind = sys.argv[3] if len(sys.argv) > 3 else "parquet"
-    if kind not in ("parquet", "warc", "osm"):
+    if kind not in ("parquet", "warc", "osm", "resume"):
         print(f"FAIL: unknown input kind {kind!r}")
         return 2
     got, expect = (osm_build(num_cpus, n) if kind == "osm"
@@ -76,13 +78,18 @@ def start_ray(num_cpus: int) -> None:
 
 
 def pages_build(num_cpus: int, n_pages: int, kind: str):
-    """(Ray tile_dataset tiles, tiles_local tiles) over n_pages pages."""
+    """(Ray tiles, tiles_local tiles) over n_pages pages: tile_dataset
+    over the parquet pages or their WARC, or run_resumable's tiles."""
+    import glob
+
+    import pandas as pd
     import pyarrow.parquet as pq
     import ray
 
     from tilemaker_ray.config import default_config
     from tilemaker_ray.pipelines.chain import tiles_local
     from tilemaker_ray.pipelines.flagship import derive_pages, tile_dataset
+    from tilemaker_ray.pipelines.resumable import run_resumable
     from tilemaker_ray.sources.pages import pages_path
     from tilemaker_ray.sources.warc import write_warc
     from tilemaker_ray.stages.extract import PageFeatureExtractor
@@ -103,7 +110,15 @@ def pages_build(num_cpus: int, n_pages: int, kind: str):
             write_warc(raw, src)
         start_ray(num_cpus)
         try:
-            got = tile_dataset(src).to_pandas()
+            if kind == "resume":
+                out = os.path.join(tmp, "out")
+                run_resumable(pages, out)
+                got = pd.concat(
+                    [pd.read_parquet(f) for f in
+                     glob.glob(os.path.join(out, "tiles", "*.parquet"))],
+                    ignore_index=True)
+            else:
+                got = tile_dataset(src).to_pandas()
         finally:
             ray.shutdown()
     return got, local

@@ -1,7 +1,8 @@
-"""chain.exchange: the grouped map every tile path runs. Its contract is
-a pandas groupby(key).apply(fn) over the whole dataset — fn called
-once per key value, each group's rows in input order — whatever the
-block layout and partition count."""
+"""chain.waves and chain.exchange: the grouped map every tile path runs.
+Its contract is a pandas groupby(key).apply(fn) over the whole input —
+the concatenated prep(unit) frames, or the dataset's blocks — with fn
+called once per key value, each group's rows in input order, whatever
+the unit or block layout and partition count."""
 
 import numpy as np
 import pandas as pd
@@ -9,7 +10,7 @@ import pytest
 import ray
 import ray.data
 
-from tilemaker_ray.pipelines.chain import exchange
+from tilemaker_ray.pipelines.chain import exchange, waves
 
 
 def _blocks_ds(blocks: list[pd.DataFrame]) -> ray.data.Dataset:
@@ -93,3 +94,39 @@ def test_exchange_of_empty_inputs():
     assert no_blocks.to_pandas_refs() == []
     for ds in (no_blocks, _blocks_ds([pd.DataFrame(), pd.DataFrame()])):
         assert exchange(ds, "k", never, 8).count() == 0
+
+
+def _unit_prep():
+    """prep for the map wave: unit 2 yields an empty zero-column frame
+    (as Ray Data's empty blocks are), unit 5 zero rows with columns,
+    every other unit a frame of its own. (Built in a function so Ray
+    ships it by value.)"""
+    def prep(unit: int) -> pd.DataFrame:
+        if unit == 2:
+            return pd.DataFrame()
+        n = 0 if unit == 5 else 300 + unit
+        rng = np.random.default_rng(unit)
+        return pd.DataFrame({
+            "k": rng.integers(0, 11, n).astype(np.int64),
+            "v": np.arange(n, dtype=np.int64) + 1000 * unit})
+    return prep
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("nparts", [1, 3, 64])
+def test_waves_with_prep_match_pandas_groupby(nparts):
+    """The map wave runs prep on each unit: 8 units, so R == 1, more
+    units than reducers, and fewer; units whose prep yields zero rows
+    or zero columns ride along. The reducers' output equals a pandas
+    groupby over the concatenated prep outputs in unit order."""
+    units, prep = list(range(8)), _unit_prep()
+    outs, rows = waves(units, prep, "k", _summarizer(), nparts)
+    assert len(outs) == min(nparts, len(units))
+    got = pd.concat([o for o, n in zip(ray.get(outs), rows) if n],
+                    ignore_index=True)
+    assert sum(rows) == len(got)
+    got = got.sort_values("k").reset_index(drop=True)
+    frames = [prep(u) for u in units]
+    expect = pd.concat([f for f in frames if len(f.columns)],
+                       ignore_index=True)
+    pd.testing.assert_frame_equal(got, _expected(expect), check_dtype=False)

@@ -152,3 +152,43 @@ class TestCli:
             r = run_cli("--input", src, "--output", single, "--quiet")
             assert r.returncode == 0
             assert set(read_mbtiles(out)) == set(read_mbtiles(single))
+
+    def test_resume_keeps_joins(self, tmp_path):
+        """--resume --joins writes the tiles --joins writes: the
+        resumable path runs the join stage too."""
+        import glob
+
+        import pandas as pd
+
+        from tilemaker_ray.sinks.mbtiles import read_mbtiles
+        from tilemaker_ray.sources.pages import pages_path
+
+        pages = pages_path(500)
+        ref = str(tmp_path / "joins.mbtiles")
+        out = str(tmp_path / "resumed")
+        r = run_cli("--input", pages, "--output", ref, "--joins", "--quiet")
+        assert r.returncode == 0, r.stderr[-500:]
+        r = run_cli("--input", pages, "--output", out, "--resume",
+                    "--joins", "--quiet")
+        assert r.returncode == 0, r.stderr[-500:]
+        got = {}
+        for f in glob.glob(os.path.join(out, "tiles", "*.parquet")):
+            df = pd.read_parquet(f)
+            got.update({(int(z), int(x), int(y)): bytes(m) for z, x, y, m
+                        in zip(df["zoom"], df["tile_x"], df["tile_y"],
+                               df["mvt"])})
+        want = read_mbtiles(ref)
+        assert len(want) > 10
+        assert got == want
+
+    def test_resume_into_container_errors(self, tmp_path):
+        """--resume writes a tile directory: a .mbtiles or .pmtiles
+        output exits 2 with a message and writes nothing."""
+        from tilemaker_ray.sources.pages import pages_path
+        for ext in ("mbtiles", "pmtiles"):
+            out = str(tmp_path / f"tiles.{ext}")
+            r = run_cli("--input", pages_path(500), "--output", out,
+                        "--resume", "--quiet")
+            assert r.returncode == 2
+            assert "--resume" in r.stderr and ext in r.stderr
+            assert not os.path.exists(out)

@@ -10,8 +10,8 @@ import pytest
 
 from tilemaker_ray.sources.pages import generate_block
 from tilemaker_ray.sources.warc import (_shard_ranges, index_warc_gz,
-                                        parse_warc_records, read_warc,
-                                        write_warc)
+                                        parse_warc_range, parse_warc_records,
+                                        warc_ranges, write_warc)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,15 @@ def warc_gz(pages, tmp_path_factory):
 
 def _norm(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values("url").reset_index(drop=True)
+
+
+def read_warc(path: str, n_shards: int) -> pd.DataFrame:
+    """The whole crawl, as the build reads it: every range of
+    warc_ranges parsed by parse_warc_range, one map task's input each."""
+    import pyarrow as pa
+    return pa.concat_tables([parse_warc_range(path, a, b)
+                             for a, b in warc_ranges(path, n_shards)]
+                            ).to_pandas()
 
 
 def test_index_finds_every_member(warc_gz):
@@ -61,9 +70,8 @@ def test_shard_ranges_partition_exactly():
     assert all(a % 10 == 0 and b % 10 == 0 for a, b in shards)
 
 
-@pytest.mark.usefixtures("ray_session")
 def test_read_warc_sharded_equals_whole(pages, warc_gz):
-    got = read_warc(warc_gz, n_shards=8).to_pandas()
+    got = read_warc(warc_gz, n_shards=8)
     exp = pages.select(["url", "warc_ts", "html"]).to_pandas()
     a, b = _norm(got), _norm(exp)
     assert len(a) == 300
@@ -71,23 +79,21 @@ def test_read_warc_sharded_equals_whole(pages, warc_gz):
     assert all(x == y for x, y in zip(a.html, b.html))
 
 
-@pytest.mark.usefixtures("ray_session")
 def test_read_plain_warc(pages, tmp_path):
     p = str(tmp_path / "crawl.warc")
     write_warc(pages, p, compress=False)
-    got = _norm(read_warc(p, n_shards=5).to_pandas())
+    got = _norm(read_warc(p, n_shards=5))
     exp = _norm(pages.select(["url", "warc_ts", "html"]).to_pandas())
     assert list(got.url) == list(exp.url)
     assert all(x == y for x, y in zip(got.html, exp.html))
 
 
-@pytest.mark.usefixtures("ray_session")
 def test_read_warc_many_chunks_mid_member_boundaries(pages, warc_gz):
     """Index-free chunked read with far more chunks than bytes-per-
     member: most chunk boundaries fall MID-member and some chunks own
     no member start at all — the straddling-member ownership rule must
     still partition the records exactly once."""
-    got = _norm(read_warc(warc_gz, n_shards=97).to_pandas())
+    got = _norm(read_warc(warc_gz, n_shards=97))
     exp = _norm(pages.select(["url", "warc_ts", "html"]).to_pandas())
     assert list(got.url) == list(exp.url)
     assert all(x == y for x, y in zip(got.html, exp.html))
@@ -155,7 +161,7 @@ def test_write_warc_dir_roundtrip_and_resume(pages, tmp_path):
                           d) == 4
     assert [os.path.getmtime(f) for f in files] == mtimes  # resumed
 
-    dfs = [read_warc(f, n_shards=2).to_pandas() for f in files]
+    dfs = [read_warc(f, n_shards=2) for f in files]
     back = _norm(pd.concat(dfs, ignore_index=True))
     exp = _norm(pages.select(["url", "warc_ts", "html"]).to_pandas())
     assert list(back.url) == list(exp.url)
@@ -206,8 +212,13 @@ def test_warc_to_tiles_matches_parquet_path(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_resumable_run_from_warc(pages, tmp_path):
-    """--resume works with a .warc.gz input: first run writes every
-    partition, a rerun skips them all (manifest hit)."""
+    """--resume works with a .warc.gz input: the first run writes the
+    tiles of tile_dataset byte for byte, and a rerun skips every
+    partition and reads every byte range's stage-A checkpoint."""
+    import glob
+    import os
+
+    from tilemaker_ray.pipelines.flagship import tile_dataset
     from tilemaker_ray.pipelines.resumable import run_resumable
 
     warc = str(tmp_path / "crawl.warc.gz")
@@ -215,9 +226,20 @@ def test_resumable_run_from_warc(pages, tmp_path):
     out = str(tmp_path / "tiles_out")
     s1 = run_resumable(warc, out)
     assert s1["tiles_written_this_run"] > 0
+    assert s1["feature_files_total"] == len(warc_ranges(warc)) > 1
     s2 = run_resumable(warc, out)
     assert s2["tiles_written_this_run"] == 0
     assert s2["partitions_done_before"] == s1["partitions_total"]
+    assert s2["feature_files_done_before"] == s1["feature_files_total"]
+
+    keys = ["zoom", "tile_x", "tile_y"]
+    got = pd.concat([pd.read_parquet(f) for f in
+                     glob.glob(os.path.join(out, "tiles", "*.parquet"))])
+    got = got.sort_values(keys).reset_index(drop=True)
+    exp = tile_dataset(warc).to_pandas().sort_values(keys) \
+        .reset_index(drop=True)
+    assert got[keys].astype(int).equals(exp[keys].astype(int))
+    assert all(bytes(a) == bytes(b) for a, b in zip(got["mvt"], exp["mvt"]))
 
 
 def test_langid_vote():

@@ -99,6 +99,21 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     args.input = inputs[0]
+    # run_resumable is the flagship (pages/WARC) path into a tile
+    # directory; anything else would be silently misread (review
+    # finding: inputs[1:] were dropped without a word)
+    if args.resume and _is_container(args.output):
+        print("error: --resume writes a tile directory; a .mbtiles or "
+              ".pmtiles output cannot resume", file=sys.stderr)
+        return 2
+    if args.resume and len(inputs) > 1:
+        print("error: --resume supports a single --input", file=sys.stderr)
+        return 2
+    if args.resume and args.input.endswith(".pbf"):
+        print("error: --resume applies to pages/WARC inputs; for "
+              ".osm.pbf rerun without --resume (tile writes are "
+              "atomic per container)", file=sys.stderr)
+        return 2
 
     import ray
     if not ray.is_initialized():
@@ -159,23 +174,10 @@ def main(argv=None) -> int:
                 else "pages parquet")
         print(f"Reading {kind}: {', '.join(inputs)}")
 
-    if args.resume and not _is_container(args.output):
-        # run_resumable is the flagship (pages/WARC) path; a .pbf or a
-        # multi-file input would be silently misread (review finding:
-        # inputs[1:] were dropped without a word)
-        if len(inputs) > 1:
-            print("error: --resume supports a single --input",
-                  file=sys.stderr)
-            ray.shutdown()
-            return 2
-        if is_pbf:
-            print("error: --resume applies to pages/WARC inputs; for "
-                  ".osm.pbf rerun without --resume (tile writes are "
-                  "atomic per container)", file=sys.stderr)
-            ray.shutdown()
-            return 2
+    if args.resume:
         from .pipelines.resumable import run_resumable
-        stats = run_resumable(args.input, args.output, config)
+        stats = run_resumable(args.input, args.output, config,
+                              with_joins=args.joins)
         if not args.quiet:
             print(f"Resumable run: {stats}")
         ray.shutdown()

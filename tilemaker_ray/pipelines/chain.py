@@ -1,18 +1,25 @@
-"""The tile chain every pipeline runs, from feature rows to MVT tiles:
+"""The tile chain every pipeline runs, as two waves of plain Ray tasks:
 
-    features → map_batches(GeomMap)                  [geometry, tasks]
-             → map_batches(add_partition_key)        [exchange key]
-             → exchange("pk", TileAssembler)         [MVT assembly]
+    units ─ map wave, one task per unit:
+              prep(unit)                        [read + extract]
+            → GeomMap                           [geometry]
+            → add_partition_key                 [exchange key]
+            → split by pk                       [a piece per reducer]
+          ─ reduce wave, one task per reducer:
+              TileAssembler per pk              [MVT assembly]
 
-`geometry` and `assemble` are its two halves (the incremental pipeline
-keeps the rows between them as its feature store); `tiles` is both.
-`exchange` is the all-to-all every grouped step of a tile path runs:
-the assembly here, the crawl delta's bucket join, the Bloom confirm
-join, multipolygon assembly and the resumable run's stage B.
+`waves(units, prep, key, fn, nparts)` is the primitive: a map task runs
+prep on its unit and cuts the rows into a piece per reducer by `key`,
+and a reduce task calls fn once per key value it holds. Every grouped
+step of a tile path runs it. `tiles` is the build above. `assemble` is
+the same over GeomMap rows already made (the incremental pipeline's
+feature store). `exchange` is a Ray Data groupby-map with no prep: the
+crawl delta's bucket join, the Bloom confirm join and multipolygon
+assembly. The resumable run passes its own prep and fn.
 `tiles_local` runs the same stages in this process over a features
 table: the reference the tests and scripts/freeze_golden.py check the
 Ray chain's tiles against. A tile's bytes depend only on its rows, so
-batching and the partition count do not change the output.
+units, batching and the partition count do not change the output.
 """
 
 from __future__ import annotations
@@ -33,23 +40,25 @@ LOCAL_PARTITIONS = 16
 
 
 @ray.remote
-def _split(df: pd.DataFrame, key: str, nred: int):
-    """One input block → one piece per reducer, by key modulo nred, each
-    piece in block order. Ray Data emits empty blocks with no columns;
-    those split into empty pieces."""
+def _map(unit, prep, key: str, nred: int):
+    """One map task: prep(unit) (the unit itself when prep is None), cut
+    into one piece per reducer by key modulo nred, each piece in row
+    order. A frame without the key column (Ray Data emits empty blocks
+    with no columns) splits into empty pieces."""
+    df = unit if prep is None else prep(unit)
+    if nred == 1:
+        return df
     if key not in df.columns:
-        pieces = [df] * nred
-    else:
-        dest = df[key].to_numpy() % nred
-        order = np.argsort(dest, kind="stable")
-        cuts = np.searchsorted(dest[order], np.arange(1, nred))
-        pieces = [df.take(rows) for rows in np.split(order, cuts)]
-    return pieces if nred > 1 else pieces[0]
+        return [df] * nred
+    dest = df[key].to_numpy() % nred
+    order = np.argsort(dest, kind="stable")
+    cuts = np.searchsorted(dest[order], np.arange(1, nred))
+    return [df.take(rows) for rows in np.split(order, cuts)]
 
 
 @ray.remote(num_returns=2)
 def _reduce(fn, key: str, *pieces: pd.DataFrame):
-    """One reducer: its pieces in block order, stable-sorted by key, and
+    """One reducer: its pieces in unit order, stable-sorted by key, and
     fn called once per run of one key value. Returns (output, rows)."""
     pieces = [p for p in pieces if len(p)]
     if not pieces:
@@ -66,59 +75,77 @@ def _reduce(fn, key: str, *pieces: pd.DataFrame):
     return out, len(out)
 
 
-def exchange(ds: ray.data.Dataset, key: str, fn,
-             nparts: int) -> ray.data.Dataset:
-    """A grouped map over `ds` as plain Ray tasks, with the contract of
-    Ray Data's groupby(key) followed by a per-group pandas map: fn is
-    called once per distinct value of the integer column `key`, on that
-    value's rows in input order. One split task per input block cuts it
-    into a piece per reducer (key modulo the reducer count); each of the
-    min(nparts, input blocks) reducers then calls fn per key it holds,
-    in ascending key order, so a small input runs few tasks. Runs `ds`
-    when called: the exchange is a barrier. A reducer whose output has
-    no rows adds no block to the result."""
-    refs = ds.to_pandas_refs()
-    nred = max(1, min(nparts, len(refs)))
-    split = _split.options(num_returns=nred)
-    pieces = [split.remote(r, key, nred) for r in refs]
+def waves(units: list, prep, key: str, fn,
+          nparts: int) -> tuple[list, list[int]]:
+    """A grouped map over units as plain Ray tasks, with the contract of
+    a pandas groupby(key) over the concatenated prep(unit) frames
+    followed by a per-group map: fn is called once per distinct value
+    of the integer column `key`, on that value's rows in unit order.
+
+    A unit is anything a task takes: a row or byte range of a file, or
+    the ObjectRef of a block, which Ray resolves to the block. One map
+    task per unit runs prep and cuts its rows into a piece per reducer
+    (key modulo the reducer count); each of the min(nparts, units)
+    reducers then calls fn per key it holds, in ascending key order, so
+    a small input runs few tasks. prep and fn go to the object store
+    once.
+    Runs when called: the reduce wave is a barrier. Returns the
+    reducers' output refs and their row counts."""
+    nred = max(1, min(nparts, len(units)))
+    prep, fn = ray.put(prep), ray.put(fn)
+    split = _map.options(num_returns=nred)
+    pieces = [split.remote(u, prep, key, nred) for u in units]
     if nred == 1:
         pieces = [[p] for p in pieces]   # num_returns=1: a bare ref
     outs = [_reduce.remote(fn, key, *(p[r] for p in pieces))
             for r in range(nred)]
     rows = ray.get([n for _, n in outs])
+    return [out for out, _ in outs], rows
+
+
+def _dataset(outs: list, rows: list[int]) -> ray.data.Dataset:
+    """The reducers' outputs as a Dataset. A reducer whose output has no
+    rows adds no block."""
     return ray.data.from_pandas_refs(
-        [out for (out, _), n in zip(outs, rows) if n] or [outs[0][0]])
+        [out for out, n in zip(outs, rows) if n] or outs[:1])
 
 
-def geometry(feats: ray.data.Dataset, config: Config) -> ray.data.Dataset:
-    """Feature rows → GeomMap rows (one per feature × tile × zoom)."""
-    geom_map = GeomMap(config)
+def map_wave(units: list, prep) -> ray.data.Dataset:
+    """The map wave alone: one task and one block per unit, prep(unit)."""
+    prep = ray.put(prep)
+    return ray.data.from_pandas_refs(
+        [_map.remote(u, prep, "", 1) for u in units])
 
-    def run_geom(b):
-        return geom_map(b)
 
-    return feats.map_batches(run_geom, batch_format="pyarrow")
+def exchange(ds: ray.data.Dataset, key: str, fn,
+             nparts: int) -> ray.data.Dataset:
+    """`waves` over the blocks of `ds`, with no prep."""
+    return _dataset(*waves(ds.to_pandas_refs(), None, key, fn, nparts))
 
 
 def assemble(rows: ray.data.Dataset, nparts: int,
              config: Config) -> ray.data.Dataset:
-    """GeomMap rows → tiles: the exchange on a partition key hashed
-    from the tile's macro-block, then per-group MVT assembly."""
-    assembler = TileAssembler(config)
+    """GeomMap rows → tiles: each map task keys its block by the tile's
+    macro-block (add_partition_key), then per-group MVT assembly."""
+    def add_pk(df: pd.DataFrame) -> pd.DataFrame:
+        return add_partition_key(df, nparts) if len(df) else df
 
-    def add_pk(df):
-        return add_partition_key(df, nparts)
-
-    def run_assemble(df):
-        return assembler(df)
-
-    return exchange(rows.map_batches(add_pk, batch_format="pandas"),
-                    "pk", run_assemble, nparts)
+    return _dataset(*waves(rows.to_pandas_refs(), add_pk, "pk",
+                           TileAssembler(config), nparts))
 
 
-def tiles(feats: ray.data.Dataset, nparts: int,
+def tiles(units: list, prep, nparts: int,
           config: Config) -> ray.data.Dataset:
-    return assemble(geometry(feats, config), nparts, config)
+    """Input units → tiles: each map task runs prep(unit), which gives
+    feature rows (stages/extract.FEATURE_SCHEMA), then GeomMap and the
+    partition key; the reducers assemble."""
+    geom_map = GeomMap(config)
+
+    def map_unit(unit) -> pd.DataFrame:
+        return add_partition_key(geom_map(prep(unit)), nparts)
+
+    return _dataset(*waves(units, map_unit, "pk", TileAssembler(config),
+                           nparts))
 
 
 def tiles_local(feats: pa.Table, config: Config) -> pd.DataFrame:

@@ -1,23 +1,28 @@
 """The flagship pipeline: web pages → features → tiles → MVT.
 
-Ray-Data lifecycle:
+One build is two waves of plain Ray tasks (pipelines/chain.py):
 
-    read_parquet(pages)                                [stream]
-      → map_batches(PageFeatureExtractor(...))         [ST1, tasks]
-      → map_batches(GeomMap)                           [A1 explode +
+    map wave, one task per input unit:
+        read the unit (page_units: a pages parquet file or
+          a row range of one, or a WARC byte range
+          whose text and lang are derived from html)   [source]
+      → PageFeatureExtractor                           [ST1]
+      → GeomMap                                        [A1 explode +
                                                         clip/simplify/scale]
-      → map_batches(add_partition_key)                 [exchange key]
-      → chain.exchange("pk", TileAssembler)            [A3-A5 + encode]
-      → write_parquet / iter_batches / a tile sink     [sink]
+      → add_partition_key, split by pk                 [exchange key]
+    reduce wave, one task per reducer:
+        TileAssembler per pk                           [A3-A5 + encode]
+      → iter_batches / a tile sink                     [sink]
 
-Everything streams up to the only all-to-all exchange, on the
-macro-block partition key: a split task cuts each GeomMap block by key,
-then reduce tasks run the assembler once per key they hold. The three
-stages after extraction are the tile chain (pipelines/chain.py) the OSM
+The only all-to-all is the one between the waves, on the macro-block
+partition key. The stages after extraction are the tile chain the OSM
 and incremental pipelines run too.
 """
 
 from __future__ import annotations
+
+import glob
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -34,8 +39,8 @@ def derive_pages(b: pa.Table) -> pa.Table:
     """WARC records → pages: a raw crawl has html but neither text nor
     lang. Text is derived from html by the extraction that defines the
     parquet pages' text (profile.extract_text); lang by the LangId
-    vote (ops/text.py). Runs as Ray tasks: it holds no state beyond
-    LangId's four word sets, which it builds per batch."""
+    vote (ops/text.py). It holds no state beyond LangId's four word
+    sets, which it builds per call."""
     from ..ops.text import LangId
     from ..profile import extract_text
     texts = [extract_text(h) for h in b.column("html").to_pylist()]
@@ -44,69 +49,92 @@ def derive_pages(b: pa.Table) -> pa.Table:
             .append_column("lang", pa.array(langs, pa.string()))
 
 
-def feature_dataset(pages_dir: str, config: Config | None = None,
-                    batch_size: int = 256,
-                    with_joins: bool = False,
-                    profile_factory=None,
-                    url_filter: set[str] | None = None) -> ray.data.Dataset:
-    """url_filter restricts extraction to a url set (the incremental
-    pipeline's delta path) — applied between read and extractor so the
-    SAME wiring (columns, extractor kwargs, profile, WARC derivation)
-    serves both the full and the filtered run; non-matching pages never
-    reach the extractor.
+# a pages dir of fewer files than this is cut into row ranges, so a
+# small crawl still spreads over several CPUs
+MIN_UNITS = 4
 
-    The extractor is built once here, on the driver, and runs as plain
-    Ray tasks: Ray Data ships the instance to each task with the rest
-    of the stage, so no actor holds a CPU for the whole build and a
-    task lost with its worker is re-run from lineage.
 
-    batch_size is the rows per extractor call, and so per task: Ray
-    Data bundles read blocks until a bundle holds that many rows. A few
-    hundred pages outweigh a task's fixed cost, a crawl of thousands
-    still spreads over every CPU, and a recrawl's delta of a few dozen
-    pages stays one task. A size above the crawl's rows would put
-    extraction, geometry and the exchange's map side in one task on
-    one CPU, whose run time then moves with that one core's load."""
-    config = config or default_config()
-    known = {l.name for l in config.layers}
-    kwargs = {"known_layers": known}
-    if profile_factory is not None:
-        kwargs["profile_factory"] = profile_factory
-    if with_joins:
-        from ..profile import JoinedWebProfile
-        from ..sources.regions import region_table
-        kwargs["profile_factory"] = JoinedWebProfile
-        kwargs["regions"] = region_table()
+def page_units(pages_dir: str) -> list[tuple[str, int, int]]:
+    """A build's input units, one map task each, as (path, start, end):
+    the byte ranges of a WARC crawl (sources/warc.warc_ranges), or the
+    *.parquet files of a pages directory in sorted order, each whole
+    (rows 0 to n). A directory of fewer than MIN_UNITS files has each
+    file cut evenly into row ranges, enough for MIN_UNITS units:
+    otherwise a one-file crawl is one task on one CPU, from extraction
+    to the whole assembly. The units depend on the input alone, so a
+    resumed run finds the same ones."""
     if pages_dir.endswith((".warc", ".warc.gz")):
-        from ..sources.warc import read_warc
-        ds = read_warc(pages_dir).map_batches(
-            derive_pages, batch_format="pyarrow", batch_size=batch_size)
-    else:
-        ds = ray.data.read_parquet(pages_dir,
-                                   columns=["url", "html", "text", "lang"])
-    if url_filter is not None:
-        import pyarrow.compute as pc
-        need = pa.array(sorted(url_filter), pa.string())
-        ds = ds.map_batches(
-            lambda b: b.filter(pc.is_in(b.column("url"), need)),
-            batch_format="pyarrow")
-    return ds.map_batches(PageFeatureExtractor(**kwargs),
-                          batch_format="pyarrow", batch_size=batch_size)
+        from ..sources.warc import warc_ranges
+        return [(pages_dir, a, b) for a, b in warc_ranges(pages_dir)]
+    import pyarrow.parquet as pq
+    files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+    if not files:
+        raise FileNotFoundError(f"no *.parquet pages in {pages_dir}")
+    k = -(-MIN_UNITS // len(files))   # row ranges per file
+    units = []
+    for f in files:
+        n = pq.ParquetFile(f).metadata.num_rows
+        units += [(f, n * i // k, n * (i + 1) // k) for i in range(k)]
+    return units
+
+
+class PageMap:
+    """unit → feature rows: read the unit's pages, keep only url_filter's
+    urls when one is given (the incremental pipeline's delta), derive
+    text and lang for WARC input, and run the extractor. Non-matching
+    pages never reach the extractor, so the full and the filtered runs
+    share one wiring.
+
+    The extractor is built once, here on the driver, and ships to the
+    map tasks inside this object: no actor holds a CPU for the whole
+    build, and a task lost with its worker is re-run from lineage."""
+
+    def __init__(self, config: Config, with_joins: bool = False,
+                 profile_factory=None, url_filter: set[str] | None = None):
+        kwargs = {"known_layers": {l.name for l in config.layers}}
+        if profile_factory is not None:
+            kwargs["profile_factory"] = profile_factory
+        if with_joins:
+            from ..profile import JoinedWebProfile
+            from ..sources.regions import region_table
+            kwargs["profile_factory"] = JoinedWebProfile
+            kwargs["regions"] = region_table()
+        self.extractor = PageFeatureExtractor(**kwargs)
+        self.urls = (None if url_filter is None
+                     else pa.array(sorted(url_filter), pa.string()))
+
+    def pages(self, unit: tuple[str, int, int]) -> pa.Table:
+        path, start, end = unit
+        warc = path.endswith((".warc", ".warc.gz"))
+        if warc:
+            from ..sources.warc import parse_warc_range
+            t = parse_warc_range(path, start, end)
+        else:
+            import pyarrow.parquet as pq
+            t = pq.read_table(path, columns=["url", "html", "text", "lang"]
+                              ).slice(start, end - start)
+        if self.urls is not None:
+            import pyarrow.compute as pc
+            t = t.filter(pc.is_in(t.column("url"), self.urls))
+        return derive_pages(t) if warc else t
+
+    def __call__(self, unit: tuple[str, int, int]) -> pa.Table:
+        return self.extractor(self.pages(unit))
 
 
 def tile_dataset(pages_dir: str, config: Config | None = None,
                  with_joins: bool = False,
                  profile_factory=None) -> ray.data.Dataset:
-    """pages → MVT tiles: feature_dataset, then the tile chain
-    (pipelines/chain.py) with one exchange."""
+    """pages → MVT tiles: the tile chain (pipelines/chain.py) with
+    PageMap as each map task's prep."""
     config = config or default_config()
-    feats = feature_dataset(pages_dir, config, with_joins=with_joins,
-                            profile_factory=profile_factory)
+    page_map = PageMap(config, with_joins=with_joins,
+                       profile_factory=profile_factory)
     # data-derived exchange width: est exploded bytes / target group
     # size (VERDICT r2 #4) — CPU-floored at small scale, macro-block
     # capped at large
     nparts = data_num_partitions(dir_input_bytes(pages_dir))
-    return chain.tiles(feats, nparts, config)
+    return chain.tiles(page_units(pages_dir), page_map, nparts, config)
 
 
 # --- SQL-oracled flagship slice (VERDICT r2 #6) ---------------------------

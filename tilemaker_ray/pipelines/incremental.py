@@ -84,16 +84,22 @@ def geom_store(pages_dir: str, config: Config | None = None,
                url_filter: set[str] | None = None) -> ray.data.Dataset:
     """The feature store: single-pass geometry partials (stage-B rows,
     incl. feature_id) for every page — the persisted intermediate an
-    incremental run patches instead of recomputing.  `url_filter`
-    restricts extraction to a url set (the delta path); it rides
-    flagship.feature_dataset's own filter hook, so the full and the
-    filtered runs share ONE extractor wiring (columns, kwargs, profile,
-    WARC derivation) and cannot drift apart (review r4)."""
-    from .flagship import feature_dataset
+    incremental run patches instead of recomputing.  One map task per
+    input unit runs flagship.PageMap and GeomMap, the map side of
+    tile_dataset, so the full build, the full store and the delta
+    store (`url_filter`, which restricts extraction to a url set)
+    share one extractor wiring and cannot drift apart (review r4)."""
+    from ..stages.salted import GeomMap
+    from .flagship import PageMap, page_units
 
     config = config or default_config()
-    return chain.geometry(
-        feature_dataset(pages_dir, config, url_filter=url_filter), config)
+    page_map = PageMap(config, url_filter=url_filter)
+    geom_map = GeomMap(config)
+
+    def store_rows(unit) -> pd.DataFrame:
+        return geom_map(page_map(unit))
+
+    return chain.map_wave(page_units(pages_dir), store_rows)
 
 
 def save_store(store: ray.data.Dataset, path: str) -> None:

@@ -886,15 +886,23 @@ def _append_features(out: dict, emit: Emitter, url: str, base_id: int) -> None:
             out["geom"].append(gc.pack_mp(gc.correct_geometry(f.geom_parts)))
 
 
+def _feature_block(block: pa.Table) -> pa.Table:
+    """One feature block as a map task's input: Ray Data emits empty
+    blocks with no columns, which become empty feature tables."""
+    from ..stages.extract import FEATURE_SCHEMA
+    return block if block.num_columns else FEATURE_SCHEMA.empty_table()
+
+
 def osm_tile_dataset(path, config: Config | None = None,
                      profile=None) -> ray.data.Dataset:
     """monaco.pbf (or any .osm.pbf, or a LIST of them — streams union
     through one shared node store, the reference multi-input
     semantics) → MVT tiles through the SAME
-    single-pass engine as the web flagship."""
+    single-pass engine as the web flagship: each feature block is one
+    unit of the tile chain's map wave."""
     config = config or osm_config()
     from ..stages.salted import data_num_partitions, dir_input_bytes
     feats = osm_feature_dataset(path, config, profile=profile)
     nparts = data_num_partitions(sum(dir_input_bytes(p)
                                      for p in _paths(path)))
-    return tiles(feats, nparts, config)
+    return tiles(feats.to_arrow_refs(), _feature_block, nparts, config)

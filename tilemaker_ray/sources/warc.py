@@ -9,15 +9,17 @@ reader (sources/pbf.py: blob index → per-blob tasks; reference
 
 Scale notes (100 TB crawl):
 - .gz reads are INDEX-FREE and fully distributed: the driver computes
-  size/n chunk boundaries from a stat call (zero byte reads); each
-  chunk task self-synchronizes to the first real gzip member in its
-  range (magic scan + validated inflate + WARC/ prefix) and owns every
+  size/n chunk boundaries from a stat call (zero byte reads,
+  `warc_ranges`); each range's parse (`parse_warc_range`, in one map
+  task of the build, pipelines/chain.py) self-synchronizes to the
+  first real gzip member in its range (magic scan + validated
+  inflate + WARC/ prefix) and owns every
   member STARTING in-range, so the partition is exact with no
   coordination.  `index_warc_gz` (streaming exact member index)
   remains for tests / tools that want explicit ranges.
-- Parsing is per-shard and stateless, batched into ~32 MB Arrow
-  tables; the Dataset downstream streams into the same extract → tile
-  pipeline as the parquet source.
+- Parsing is per-range and stateless, batched into ~32 MB Arrow
+  tables; the same map task goes on to extract and tile the pages, as
+  it does for a parquet pages file.
 - `write_warc_dir` is the distributed sink twin: one content-addressed
   part per block, atomic renames → restart-safe resumable output.
 
@@ -31,7 +33,6 @@ import gzip
 import zlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 CRLF = b"\r\n"
@@ -98,9 +99,9 @@ def write_warc_dir(ds, out_dir: str, compress: bool = True) -> int:
     """Distributed WARC sink: each block of the pages Dataset writes
     its own part-NNNNN.warc.gz (atomic rename, so a restarted job can
     skip finished parts — the resumable-output rule). Per-record gzip
-    members keep every part parallel-readable by `read_warc`; reading
-    the directory back is `union of read_warc(part) per file`, or any
-    standard WARC tool. Returns the number of parts written."""
+    members keep every part parallel-readable by `warc_ranges`; reading
+    the directory back is `parse_warc_range` over each part's ranges,
+    or any standard WARC tool. Returns the number of parts written."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
@@ -133,8 +134,8 @@ def index_warc_gz(path: str) -> list[tuple[int, int]]:
     trailer, note the boundary, continue. Streams the file in 64 KiB
     windows — never holds more than window + carry in memory.
 
-    This is the exact-index fallback (tests, tiny files); `read_warc`
-    doesn't need it: the chunk tasks self-synchronize on member magic
+    This is the exact-index fallback (tests, tiny files); `warc_ranges`
+    doesn't need it: the range tasks self-synchronize on member magic
     (`_sync_to_member`), so no driver pass touches the bytes at all."""
     ranges: list[tuple[int, int]] = []
     win = 1 << 16
@@ -319,81 +320,67 @@ def _shard_ranges(ranges: list[tuple[int, int]],
     return shards
 
 
-def read_warc(path: str, n_shards: int = 32):
-    """Ray Dataset of (url, warc_ts, html) from a .warc.gz (per-record
-    gzip members) or plain .warc.
+def warc_ranges(path: str, n_shards: int = 32) -> list[tuple[int, int]]:
+    """The byte ranges [(start, end), ...] a crawl is read in, one
+    task each; `parse_warc_range` parses one.
 
-    .gz path is INDEX-FREE and fully distributed: the driver computes
-    only file-size/n byte chunk boundaries (a stat call — zero byte
-    reads); each chunk task self-synchronizes to the first real gzip
-    member at-or-after its start (`_sync_to_member`: magic scan +
-    validated inflate + WARC/ prefix, the same resync trick as the
-    newline-aligned JSONL chunking in sources/geojson.py) and parses
-    every member that STARTS inside its range — a member straddling
-    the boundary is owned by the chunk holding its first byte, so the
-    partition is exact with no coordination. Chunks are capped at
-    CHUNK_TARGET raw bytes so a huge segment can't blow a worker's
-    heap (the blocked-source pattern; S1 PBF reader twin)."""
+    .gz path is INDEX-FREE: only file-size/n byte chunk boundaries (a
+    stat call — zero byte reads); each range's parse self-synchronizes
+    to the first real gzip member at-or-after its start
+    (`_sync_to_member`: magic scan + validated inflate + WARC/ prefix,
+    the same resync trick as the newline-aligned JSONL chunking in
+    sources/geojson.py) and parses every member that STARTS inside its
+    range — a member straddling the boundary is owned by the range
+    holding its first byte, so the partition is exact with no
+    coordination. Ranges are capped at CHUNK_TARGET raw bytes so a huge
+    segment can't blow a worker's heap (the blocked-source pattern; S1
+    PBF reader twin).
+
+    Plain .warc: records are Content-Length framed with no resync-able
+    magic, so boundaries need a sequential header walk — but only the
+    HEADERS are read (seek past payloads), so this pass is
+    O(records × header bytes), not O(file); records are grouped into
+    ~byte-balanced ranges."""
     import os
 
-    import ray.data
-
+    size = os.path.getsize(path)
     if path.endswith(".gz"):
-        size = os.path.getsize(path)
         n = max(n_shards, -(-size // CHUNK_TARGET))
         bounds = [size * i // n for i in range(n + 1)]
-        shards = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-
-        def parse(batch: pa.Table) -> pa.Table:
-            tabs = [_parse_gz_chunk(path, row["start"], row["end"])
-                    for row in batch.to_pylist()]
-            return pa.concat_tables(tabs)
-    else:
-        # plain .warc: records are Content-Length framed with no
-        # resync-able magic, so boundaries need a sequential header
-        # walk — but only the HEADERS are read (seek past payloads),
-        # so the driver pass is O(records × header bytes), not O(file)
-        size = os.path.getsize(path)
-        offs: list[int] = []
-        with open(path, "rb") as f:
-            pos = 0
-            while pos < size:
-                f.seek(pos)
-                head = f.read(4096)
-                while head[:2] == CRLF:      # inter-record CRLFs
-                    pos += 2
-                    head = head[2:]
-                if not head:
+        return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    offs: list[int] = []
+    with open(path, "rb") as f:
+        pos = 0
+        while pos < size:
+            f.seek(pos)
+            head = f.read(4096)
+            while head[:2] == CRLF:      # inter-record CRLFs
+                pos += 2
+                head = head[2:]
+            if not head:
+                break
+            while CRLF + CRLF not in head:
+                more = f.read(4096)
+                if not more:
+                    raise ValueError(f"unterminated header at {pos}")
+                head += more
+            offs.append(pos)
+            hdr_len = head.index(CRLF + CRLF)
+            for line in head[:hdr_len].split(CRLF)[1:]:
+                k, _, v = line.partition(b": ")
+                if k.lower() == b"content-length":
+                    pos = pos + hdr_len + 4 + int(v)
                     break
-                while CRLF + CRLF not in head:
-                    more = f.read(4096)
-                    if not more:
-                        raise ValueError(f"unterminated header at {pos}")
-                    head += more
-                offs.append(pos)
-                hdr_len = head.index(CRLF + CRLF)
-                for line in head[:hdr_len].split(CRLF)[1:]:
-                    k, _, v = line.partition(b": ")
-                    if k.lower() == b"content-length":
-                        pos = pos + hdr_len + 4 + int(v)
-                        break
-                else:
-                    raise ValueError(f"record without Content-Length at {pos}")
-        ranges = [(a, b) for a, b in
-                  zip(offs, offs[1:] + [size])]
-        shards = _shard_ranges(ranges, n_shards)
+            else:
+                raise ValueError(f"record without Content-Length at {pos}")
+    return _shard_ranges(list(zip(offs, offs[1:] + [size])), n_shards)
 
-        def parse(batch: pa.Table) -> pa.Table:
-            tabs = []
-            for row in batch.to_pylist():
-                with open(path, "rb") as f:
-                    f.seek(row["start"])
-                    raw = f.read(row["end"] - row["start"])
-                tabs.append(parse_warc_records(raw))
-            return pa.concat_tables(tabs)
 
-    items = pd.DataFrame({"start": [s for s, _ in shards],
-                          "end": [e for _, e in shards]})
-    return (ray.data.from_pandas(items)
-            .repartition(len(shards))
-            .map_batches(parse, batch_format="pyarrow"))
+def parse_warc_range(path: str, start: int, end: int) -> pa.Table:
+    """(url, warc_ts, html) of the records one `warc_ranges` range
+    owns."""
+    if path.endswith(".gz"):
+        return _parse_gz_chunk(path, start, end)
+    with open(path, "rb") as f:
+        f.seek(start)
+        return parse_warc_records(f.read(end - start))

@@ -2,11 +2,11 @@
 
 The Ray-Data equivalent of the reference's per-thread Lua VM
 (/root/reference/src/tilemaker.cpp:304-322,
-osm_lua_processing.cpp:17-18): a callable object for
-`map_batches(PageFeatureExtractor(...), batch_format="pyarrow")` —
+osm_lua_processing.cpp:17-18): a callable object over a pages table —
 profile construction, regex compilation and the spatial-join index
 build happen once, on the driver, in __init__; the instance is shipped
-to the Ray tasks that run __call__ on each batch.
+to the build's map tasks (pipelines/flagship.PageMap), which run
+__call__ on each input unit's pages.
 
 Output feature schema (the OutputObject analogue,
 output_object.h:24-83, carried as row columns instead of a packed

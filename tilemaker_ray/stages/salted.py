@@ -78,8 +78,8 @@ class GeomMap:
     together. The chain's only exchange is the assembly's
     (pipelines/chain.exchange).
 
-    Used as: feature_ds.map_batches(<GeomMap instance wrapper>,
-    batch_format="pyarrow").
+    Used as: one call per unit in each map task of the tile chain
+    (pipelines/chain.tiles), on the unit's feature table.
     """
 
     COLUMNS = ("zoom", "tile_x", "tile_y", "lidx", "zo_sort", "geom_type",

@@ -11,9 +11,10 @@ parallel-safe, no lock) under <out_dir>/_manifest/. Each row:
 
 Data files are written atomically (tmp + rename) BEFORE the manifest
 row, so a partition listed in the manifest is always complete on disk.
-On resume, completed partition keys are loaded (small — one row per
-partition) and broadcast; a vectorized filter drops their rows before
-the expensive stage.
+On resume, completed partition keys are loaded on the driver (small —
+one row per partition); a checkpointed unit's map task reads its file
+back instead of extracting, and drops the rows of completed partitions
+before the exchange (pipelines/resumable.py).
 """
 
 from __future__ import annotations
