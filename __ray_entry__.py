@@ -203,8 +203,9 @@ def _flagship_joined_tiles(sf_dir: str):
 
 def _osm_monaco_tiles(sf_dir: str):
     """Rows-only: the reference's own monaco.pbf fixture through the
-    same engine (PBF blob reads → ways⋈nodes join → multipolygon
-    assembly → profile → tiles); per-tile summary rows."""
+    same engine (one decode wave over the PBF blobs → ways gathered
+    from the node store → multipolygon assembly → profile → tiles);
+    per-tile summary rows."""
     from tilemaker_ray.pipelines.osm import osm_tile_dataset
 
     df = osm_tile_dataset("/root/reference/test/monaco.pbf").to_pandas()

@@ -3,13 +3,17 @@ the same tiles as the in-process tile chain (pipelines/chain.py
 tiles_local) over the same features.
 
 The input is the synthetic pages parquet, or the same pages written to
-a .warc.gz, or a seeded synthetic .osm.pbf (scripts/synth_pbf.py). The
+a .warc.gz, or a seeded synthetic .osm.pbf (scripts/synth_pbf.py), or
+that PBF split blob by blob into two files (`osm2`). The
 `resume` kind builds the parquet pages with run_resumable
 (pipelines/resumable.py) and reads its tiles/pk*.parquet back. A
 WARC build derives text and lang from html (flagship.derive_pages), so
 its reference runs the same derivation in process over the parquet
 pages. An OSM build (osm_tile_dataset) is compared with tiles_local
-over the features osm_feature_dataset gives in the same Ray session.
+over the features osm_feature_dataset gives for the one-file PBF in the
+same Ray session. The two-file build's ways reference nodes of the
+other file, so its feature tasks read shards of one node store shared
+across both files.
 
 Every stage of the build runs as plain Ray tasks, the extractor and
 the OSM node store included, so no stage holds a CPU for the whole
@@ -18,8 +22,8 @@ reducers take turns on the core. An actor pool sized to the CPU count would hold
 every CPU and leave none for the other stages, and the build would
 wait forever; this check guards against that coming back.
 
-Run:  python scripts/small_cpu_check.py <num_cpus> [n] [parquet|warc|osm|resume]
-n is the page count (default 500), or for osm the node count, with
+Run:  python scripts/small_cpu_check.py <num_cpus> [n] [parquet|warc|osm|osm2|resume]
+n is the page count (default 500), or for osm and osm2 the node count, with
 n // 15 ways and n // 500 relations.
 Prints "SMALL CPU OK cpus=<n> input=<kind> tiles=<k>" on success.
 Invoked as a subprocess under a timeout by tests/test_small_cpu.py (the
@@ -53,10 +57,11 @@ def main() -> int:
     num_cpus = int(sys.argv[1])
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 500
     kind = sys.argv[3] if len(sys.argv) > 3 else "parquet"
-    if kind not in ("parquet", "warc", "osm", "resume"):
+    if kind not in ("parquet", "warc", "osm", "osm2", "resume"):
         print(f"FAIL: unknown input kind {kind!r}")
         return 2
-    got, expect = (osm_build(num_cpus, n) if kind == "osm"
+    got, expect = (osm_build(num_cpus, n, files=2 if kind == "osm2" else 1)
+                   if kind.startswith("osm")
                    else pages_build(num_cpus, n, kind))
     if got.duplicated(subset=["zoom", "tile_x", "tile_y"]).any():
         print("FAIL: duplicate (zoom, x, y)")
@@ -124,13 +129,14 @@ def pages_build(num_cpus: int, n_pages: int, kind: str):
     return got, local
 
 
-def osm_build(num_cpus: int, n_nodes: int):
-    """(Ray osm_tile_dataset tiles, tiles_local tiles over the same
-    run's features) for a seeded synthetic PBF of n_nodes nodes."""
+def osm_build(num_cpus: int, n_nodes: int, files: int = 1):
+    """(Ray osm_tile_dataset tiles, tiles_local tiles over the features
+    of the one-file PBF from the same run) for a seeded synthetic PBF of
+    n_nodes nodes, read as one file or, at files=2, split into two."""
     import pyarrow as pa
     import ray
 
-    from synth_pbf import synthesize
+    from synth_pbf import split_pbf, synthesize
     from tilemaker_ray.pipelines.chain import tiles_local
     from tilemaker_ray.pipelines.osm import (osm_config, osm_feature_dataset,
                                              osm_tile_dataset)
@@ -140,9 +146,13 @@ def osm_build(num_cpus: int, n_nodes: int):
         path = os.path.join(tmp, "synth.osm.pbf")
         synthesize(path, n_nodes=n_nodes, n_ways=n_nodes // 15,
                    n_rels=n_nodes // 500, block_entities=2000, seed=7)
+        src = path
+        if files == 2:
+            src = [os.path.join(tmp, f) for f in ("a.osm.pbf", "b.osm.pbf")]
+            split_pbf(path, *src)
         start_ray(num_cpus)
         try:
-            got = osm_tile_dataset(path, config).to_pandas()
+            got = osm_tile_dataset(src, config).to_pandas()
             feats = pa.concat_tables(list(osm_feature_dataset(path, config)
                                           .iter_batches(batch_format="pyarrow")))
         finally:

@@ -6,7 +6,8 @@ route / route_master relations (see `synthesize`).
 
 Writes the OSM PBF container format from the public spec
 (BlobHeader + raw Blob, PrimitiveBlock with DenseNodes / Way /
-Relation groups), entities sorted by type then id. Usage:
+Relation groups), entities sorted by type then id. `split_pbf` writes
+one PBF's data blobs into two files. Usage:
 
     python scripts/synth_pbf.py [out.pbf] [n_nodes] [n_ways]
 
@@ -178,7 +179,8 @@ def synthesize(path: str, n_nodes: int = 2_000_000, n_ways: int = 100_000,
     of str per data blob, in file order), "node" (the first POI: id,
     tags), "way" (the first building: id, tags, refs), "relation" (the
     first route: id, tags, memids, types, roles; None without routes),
-    "routes" {id: tags} and "route_masters" {id: {"tags", "routes"}}.
+    "routes" {id: tags}, "route_masters" {id: {"tags", "routes"}} and
+    "members" {id: [(member id, member type, role)]} of every relation.
     """
     rng = np.random.default_rng(seed)
     extra = np.random.default_rng([seed, 1])
@@ -207,7 +209,7 @@ def synthesize(path: str, n_nodes: int = 2_000_000, n_ways: int = 100_000,
     rec = {"bbox": tuple(bbox), "optional_features": [SORT_FEATURE.decode()],
            "counts": counts, "groups": 0, "string_tables": [],
            "node": None, "way": None, "relation": None,
-           "routes": {}, "route_masters": {}}
+           "routes": {}, "route_masters": {}, "members": {}}
 
     def write_block(f, table, groups) -> None:
         f.write(blob("OSMData", primitive_block(table, groups)))
@@ -300,6 +302,7 @@ def synthesize(path: str, n_nodes: int = 2_000_000, n_ways: int = 100_000,
                 [sid[b"type"], sid[b"landuse"]],
                 [sid[b"multipolygon"], sid[b"grass"]],
                 [sid[b"outer"]], [rel_member_pool[i]], [1]))
+            rec["members"][rid] = [(rel_member_pool[i], 1, "outer")]
             counts["relations"] += 1
         route_ids = []
         for i in range(n_routes):
@@ -321,6 +324,7 @@ def synthesize(path: str, n_nodes: int = 2_000_000, n_ways: int = 100_000,
                 [ext_sid(r.encode()) for r in roles], memids, types))
             str_tags = {k.decode(): v.decode() for k, v in tags.items()}
             rec["routes"][rid] = str_tags
+            rec["members"][rid] = list(zip(memids, types, roles))
             if rec["relation"] is None:
                 rec["relation"] = {"id": rid, "tags": str_tags,
                                    "memids": memids, "types": types,
@@ -339,6 +343,7 @@ def synthesize(path: str, n_nodes: int = 2_000_000, n_ways: int = 100_000,
             rec["route_masters"][rid] = {
                 "tags": {t.decode(): v.decode() for t, v in tags.items()},
                 "routes": members}
+            rec["members"][rid] = [(m, 2, "") for m in members]
             counts["relations"] += 1
         if counts["relations"]:
             write_block(f, list(ext_ids) if n_routes or n_route_masters
@@ -346,6 +351,28 @@ def synthesize(path: str, n_nodes: int = 2_000_000, n_ways: int = 100_000,
     if record is not None:
         record.update(rec)
     return counts
+
+
+def split_pbf(src: str, a: str, b: str) -> int:
+    """Write `src`'s OSMData blobs alternately to `a` and `b`, each file
+    led by `src`'s OSMHeader blob, so ways in one file reference nodes
+    in the other. Returns the number of OSMData blobs."""
+    from tilemaker_ray.sources.pbf import blob_offsets
+
+    raw = open(src, "rb").read()
+    header, data, pos = b"", [], 0
+    # blob_offsets gives each blob's payload; its framing (length
+    # prefix + BlobHeader) starts where the previous payload ended
+    for start, size, typ in blob_offsets(src):
+        section, pos = raw[pos:start + size], start + size
+        if typ == "OSMHeader":
+            header = section
+        elif typ == "OSMData":
+            data.append(section)
+    for path, part in ((a, data[::2]), (b, data[1::2])):
+        with open(path, "wb") as f:
+            f.write(header + b"".join(part))
+    return len(data)
 
 
 if __name__ == "__main__":

@@ -12,27 +12,8 @@ MONACO = os.path.join(REFERENCE, "test", "monaco.pbf")
 # FIXTURES.md F1's fixture bbox (min lon, min lat, max lon, max lat)
 MONACO_BBOX = (7.409205, 43.723350, 7.448637, 43.751690)
 
-
-def split_pbf(src: str, a: str, b: str) -> int:
-    """Write `src`'s OSMData blobs alternately to `a` and `b`, each file
-    led by `src`'s OSMHeader blob, so ways in one file reference nodes
-    in the other. Returns the number of OSMData blobs."""
-    from tilemaker_ray.sources.pbf import blob_offsets
-
-    raw = open(src, "rb").read()
-    header, data, pos = b"", [], 0
-    # blob_offsets gives each blob's payload; its framing (length
-    # prefix + BlobHeader) starts where the previous payload ended
-    for start, size, typ in blob_offsets(src):
-        section, pos = raw[pos:start + size], start + size
-        if typ == "OSMHeader":
-            header = section
-        elif typ == "OSMData":
-            data.append(section)
-    for path, part in ((a, data[::2]), (b, data[1::2])):
-        with open(path, "wb") as f:
-            f.write(header + b"".join(part))
-    return len(data)
+sys.path.insert(0, os.path.join(ROOT, "scripts"))
+from synth_pbf import split_pbf, synthesize  # noqa: E402,F401
 
 
 @pytest.fixture(scope="session")
@@ -55,9 +36,6 @@ def osm_pbf(tmp_path_factory):
     multipolygons, tagged POIs, bus routes and route masters. `record`
     is what `synth_pbf.synthesize` says it wrote; tests take expected
     values from it, never from a decode."""
-    sys.path.insert(0, os.path.join(ROOT, "scripts"))
-    from synth_pbf import synthesize
-
     path = str(tmp_path_factory.mktemp("osm_fixture") / "fixture.osm.pbf")
     record: dict = {}
     synthesize(path, n_nodes=30_000, n_ways=4_800, n_rels=40,

@@ -3,6 +3,7 @@
 and on the reference's Monaco extract where it exists."""
 
 import gzip
+import json
 import os
 import sys
 
@@ -35,7 +36,11 @@ def synth_pbf(tmp_path_factory):
 @pytest.mark.usefixtures("ray_session")
 class TestOsmPipeline:
     def test_entity_counts(self, osm_pbf):
-        from tilemaker_ray.pipelines.osm import entity_dataset
+        """The decode wave holds every entity once: every node in the
+        node store, the tagged ones and every way in the entity tables,
+        every relation in the relation table."""
+        import ray
+        from tilemaker_ray.pipelines.osm import ENTITY_SCHEMA, decode
         path, record = osm_pbf
         # golden counts: the writer's, and the reference's own test's
         cases = [(path, record["counts"])]
@@ -43,11 +48,20 @@ class TestOsmPipeline:
             cases.append((MONACO, {"nodes": 30477, "ways": 4825,
                                    "relations": 285}))
         for src, want in cases:
-            df = entity_dataset(src).to_pandas()
-            counts = df.kind.value_counts().to_dict()
-            assert counts["node"] == want["nodes"]
-            assert counts["way"] == want["ways"]
-            assert counts["relation"] == want["relations"]
+            d = decode(src)
+            shards = ray.get(list(d.node_store[0]))
+            assert sum(len(s[0]) for s in shards) == want["nodes"]
+            ents = ray.get(d.entities)
+            assert all(t.schema == ENTITY_SCHEMA for t in ents)
+            ents = pd.concat([t.to_pandas() for t in ents])
+            assert (ents.kind == "way").sum() == want["ways"]
+            tagged = ents[ents.kind == "node"]
+            assert (tagged.tags != "").all()
+            assert d.relations.num_rows == want["relations"]
+            if src == path:  # the fixture's tagged nodes are its POIs
+                assert len(tagged) == 60
+                poi = tagged[tagged.id == record["node"]["id"]].iloc[0]
+                assert json.loads(poi.tags) == record["node"]["tags"]
 
     def test_way_assembly_join(self, osm_pbf):
         from tilemaker_ray.pipelines.osm import assembled_ways
@@ -70,9 +84,13 @@ class TestOsmPipeline:
             assert (lat > 43.71).all() and (lat < 43.76).all()
 
     def test_multipolygon_assembly(self, osm_inputs):
-        from tilemaker_ray.pipelines.osm import assembled_multipolygons
+        import ray
+        from tilemaker_ray.pipelines.osm import (assembled_multipolygons,
+                                                 decode, relation_tables)
         for src in osm_inputs:
-            mp = assembled_multipolygons(src).to_pandas()
+            d = decode(src)
+            mp = pd.concat(ray.get(assembled_multipolygons(
+                d, relation_tables(d.relations))))
             assert len(mp) > 10
             # rings are closed and correctly wound
             kind, polys = gc.unpack(mp.iloc[0].geom)
@@ -106,14 +124,15 @@ class TestOsmPipeline:
 @pytest.mark.usefixtures("ray_session")
 class TestRelationSideTables:
     def test_scan_and_membership(self, osm_pbf, osm_inputs):
-        from tilemaker_ray.pipelines.osm import OsmProfile, relation_scan_tables
+        from tilemaker_ray.pipelines.osm import (OsmProfile, decode,
+                                                 relation_tables)
         path, record = osm_pbf
         masters = record["route_masters"]
-        tables = {src: relation_scan_tables(
-            src, scan_fn=OsmProfile.relation_scan,
+        tables = {src: relation_tables(
+            decode(src).relations, scan_fn=OsmProfile.relation_scan,
             postscan_fn=OsmProfile.relation_postscan)
             for src in osm_inputs}
-        for src, (wm, nm, rt) in tables.items():
+        for src, (wm, nm, rt, _, _) in tables.items():
             if src == path:
                 assert len(rt) == len(record["routes"]) + len(masters)
             else:
@@ -130,6 +149,45 @@ class TestRelationSideTables:
                      if t.get("type") == "route" and "network" in t}
         assert inherited == {r: m["tags"]["network"] for m in masters.values()
                              if "network" in m["tags"] for r in m["routes"]}
+
+    def test_relation_tables_match_record(self, osm_pbf):
+        """One pass over the decoded relations gives the fixture's
+        record: the accepted routes and route masters with the masters'
+        network bounced down, the way and node members of the accepted
+        relations, and every multipolygon's way members and tags."""
+        from tilemaker_ray.pipelines.osm import (OsmProfile, decode,
+                                                 relation_tables)
+        path, record = osm_pbf
+        t = relation_tables(decode(path).relations,
+                            scan_fn=OsmProfile.relation_scan,
+                            postscan_fn=OsmProfile.relation_postscan)
+        routes, masters = record["routes"], record["route_masters"]
+        network = {r: m["tags"]["network"] for m in masters.values()
+                   if "network" in m["tags"] for r in m["routes"]}
+        want = {rid: dict(tags, **({"network": network[rid]}
+                                   if rid in network else {}))
+                for rid, tags in routes.items()}
+        want.update({rid: m["tags"] for rid, m in masters.items()})
+        assert t.tags == want
+
+        def by_member(rids, mtype):
+            out = {}
+            for rid in rids:
+                for mid, typ, role in record["members"][rid]:
+                    if typ == mtype:
+                        out.setdefault(mid, []).append((rid, role))
+            return out
+
+        accepted = list(routes) + list(masters)
+        assert t.way_members == by_member(accepted, 1)
+        assert t.node_members == by_member(accepted, 0)
+        assert t.node_members  # the routes' bus stops
+        mps = [rid for rid in record["members"] if rid not in want]
+        assert len(mps) == record["counts"]["relations"] - len(want) > 0
+        assert t.multipolygons == by_member(mps, 1)
+        assert {rid: json.loads(tj) for rid, tj in
+                t.multipolygon_tags.items()} == {
+            rid: {"type": "multipolygon", "landuse": "grass"} for rid in mps}
 
     def test_route_ref_reaches_tiles(self, osm_inputs):
         import gzip
@@ -173,10 +231,10 @@ def test_node_store_range_sharding_lazy_load(synth_pbf):
     touched/num_shards of the store, not a full copy."""
     import numpy as np
     import ray
-    from tilemaker_ray.pipelines.osm import (WayAssembler, build_node_store,
-                                             entity_dataset)
+    from tilemaker_ray.pipelines.osm import WayAssembler, decode
     path, counts = synth_pbf
-    store = build_node_store(path, num_shards=8)
+    d = decode(path, num_shards=8)
+    store = d.node_store
     refs, boundaries = store
     assert len(refs) == 8 and len(boundaries) == 7
     # range property: every shard's ids fall inside its boundary slot
@@ -206,9 +264,9 @@ def test_node_store_range_sharding_lazy_load(synth_pbf):
     assert wa.loaded_bytes < full_bytes
 
     # and full way assembly still works through the lazy store
-    batch = next(iter(entity_dataset(path, kinds=("way",))
-                      .iter_batches(batch_format="pyarrow", batch_size=64)))
-    out = wa(batch)
+    ents = next(t for t in ray.get(d.entities)
+                if "way" in t.column("kind").to_pylist())
+    out = wa(ents.slice(0, 64))
     assert len(out) > 0
 
 
@@ -304,10 +362,9 @@ def test_osm_tile_dataset_matches_local_chain(synth_pbf):
 def test_node_store_matches_pbf(synth_pbf, tmp_path, num_shards):
     """The task-built node store holds exactly the PBF's nodes: every
     shard sorted and inside its boundary slot, and the shards together
-    equal an in-process decode of every blob. One shard returns a bare
-    ref from its split tasks; 16 shards over three node blocks leave
-    some shards empty. The same PBF with its blobs in reverse order
-    feeds the seal tasks pieces out of id order."""
+    equal an in-process decode of every blob. 16 shards over three node
+    blocks leave some shards empty. The same PBF with its blobs in
+    reverse order feeds the seal tasks pieces out of id order."""
     import ray
 
     from tilemaker_ray.pipelines.osm import build_node_store
@@ -352,3 +409,22 @@ def test_node_store_matches_pbf(synth_pbf, tmp_path, num_shards):
         for col, want in enumerate((ids, lat, lon)):
             np.testing.assert_array_equal(
                 np.concatenate([s[col] for s in shards]), want[order])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_feature_blocks_have_feature_schema(osm_pbf):
+    """Every block of osm_feature_dataset is a FEATURE_SCHEMA table:
+    none has no columns, so Ray Data sees one schema throughout."""
+    import pyarrow as pa
+    import ray
+
+    from tilemaker_ray.pipelines.osm import osm_feature_dataset
+    from tilemaker_ray.stages.extract import FEATURE_SCHEMA
+
+    ds = osm_feature_dataset(osm_pbf[0])
+    blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+              for ref in bundle.block_refs]
+    assert sum(b.num_rows for b in blocks) > 0
+    for b in blocks:
+        assert isinstance(b, pa.Table) and b.num_columns
+        assert b.schema == FEATURE_SCHEMA

@@ -1,6 +1,7 @@
 """The flagship build finishes on 1 and 2 CPUs, from parquet pages and
-from a WARC crawl, and the OSM build and the resumable build on 1 CPU,
-each with the tiles of the in-process tile chain.
+from a WARC crawl, and the OSM build (from one file and from two that
+share a node store) and the resumable build on 1 CPU, each with the
+tiles of the in-process tile chain.
 
 Runs scripts/small_cpu_check.py in a SUBPROCESS under a timeout: the
 pytest session owns its own 4-CPU Ray, and a build that waits forever
@@ -19,9 +20,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("source,num_cpus,size",
                          [("parquet", 1, 500), ("parquet", 2, 500),
                           ("warc", 1, 500), ("warc", 2, 500),
-                          ("osm", 1, 6000), ("resume", 1, 500)],
+                          ("osm", 1, 6000), ("osm2", 1, 6000),
+                          ("resume", 1, 500)],
                          ids=["1", "2", "warc-1", "warc-2", "osm-1",
-                              "resume-1"])
+                              "osm2-1", "resume-1"])
 def test_tile_dataset_small_cpu_count(source, num_cpus, size):
     env = dict(os.environ)
     env.pop("RAY_ADDRESS", None)

@@ -1,28 +1,40 @@
-"""OSM pipeline: .osm.pbf → entity Datasets → features → tiles.
+"""OSM pipeline: .osm.pbf → entity tables → features → tiles, as plain
+Ray task waves.
 
 The reference's ingestion phases (pbf_processor.cpp:506-748) map to:
-- blob enumeration → `ray.data.from_items(blob offsets)` + per-blob
-  parse tasks (S1; replaces the thread pool over blocks)
-- node store lookups (J1, pbf_processor.cpp:128-146) → a node store
-  of sorted id-range shards built by Ray tasks (ST2,
-  build_node_store), gathered by searchsorted in the way-parse tasks
-  (WayAssembler) — no join and no shuffle
+- blob enumeration → `pbf.blob_offsets`, once per input file per build
+- the block thread pool and its phase barriers → one decode wave (S1):
+  a task per few OSMData blobs parses every kind once and returns a
+  fixed-schema entity table (tagged nodes and ways, flat typed
+  columns), the blobs' relation rows, and its node-store pieces cut by
+  id range, which one seal task per range sorts into a shard (ST2)
+- RelationScan (M12-M14) → the driver reads back only the relation
+  rows and builds the side tables and the multipolygon member table
+  from them in one pass (`relation_tables`)
+- node store lookups (J1, pbf_processor.cpp:128-146) → ways joined to
+  the sorted shards on their node ids by searchsorted (WayAssembler)
+  in the map tasks — no join and no shuffle
+- multipolygon relations (M9, J2) → one `chain.waves` over the entity
+  tables keyed by rel_id; its reducers' relations join the units
 - significant-tag prefilter (M2, significant_tags.cpp:5-88) applied
   before the profile
 - per-entity profile hooks: node_function / way_function
   (osm_lua_processing.cpp:274-286) with the same emit verbs
 - the rest of the pipeline is the tile chain (pipelines/chain.py:
-  GeomMap → pk exchange → TileAssembler) the web flagship runs — one
-  engine, two sources.
+  each entity table a unit of `chain.tiles`, GeomMap → pk exchange →
+  TileAssembler) the web flagship runs — one engine, two sources.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -31,8 +43,8 @@ from ..config import Config, LayerDef
 from ..geom import core as gc
 from ..profile import Emitter, hash_url
 from ..sources import pbf
-from .chain import exchange, tiles
-
+from ..stages.extract import FEATURE_SCHEMA
+from .chain import map_wave, tiles, waves
 
 # --- significant-tag prefilter (M2) -------------------------------------
 
@@ -80,19 +92,32 @@ class SignificantTags:
         return any(self._matched(k, v) for k, v in tags.items())
 
 
-# --- entity datasets ----------------------------------------------------
+# --- decode wave --------------------------------------------------------
 
-_ENTITY_SCHEMA = pa.schema([
-    ("kind", pa.string()),
+# a decode task's entities: its tagged nodes (an untagged node never
+# emits) and all its ways (an untagged way may be a relation member)
+ENTITY_SCHEMA = pa.schema([
+    ("kind", pa.string()),           # "node" or "way"
     ("id", pa.int64()),
-    ("lat", pa.float64()),
+    ("lat", pa.float64()),           # NaN for ways
     ("lon", pa.float64()),
-    ("tags", pa.string()),
-    ("refs", pa.binary()),
-    ("member_ids", pa.binary()),
-    ("member_types", pa.binary()),
-    ("member_roles", pa.string()),
+    ("tags", pa.string()),           # JSON object, "" when untagged
+    ("refs", pa.list_(pa.int64())),  # a way's node ids
 ])
+
+# a decode task's relations, the part the driver reads back
+RELATION_SCHEMA = pa.schema([
+    ("id", pa.int64()),
+    ("tags", pa.string()),
+    ("member_ids", pa.list_(pa.int64())),
+    ("member_types", pa.list_(pa.int8())),
+    ("member_roles", pa.list_(pa.string())),
+])
+
+NODE_STORE_SHARDS = 16
+# OSMData blobs per decode task; each task's entity table is one unit
+# of the tile build's map wave
+BLOBS_PER_TASK = 1
 
 
 def _paths(path) -> list[str]:
@@ -102,118 +127,74 @@ def _paths(path) -> list[str]:
     return [path] if isinstance(path, str) else list(path)
 
 
-def _parse_blocks(kinds: tuple[str, ...]):
-    """One blob → one Arrow table.  Node columns go in as whole numpy
-    arrays (zero-copy into Arrow) — the round-1 per-node Python appends
-    were the parse bottleneck at 1e9 nodes.  Each offset row carries
-    its source path, so multi-input runs read all files through one
-    Dataset."""
-    def parse(batch: pa.Table) -> pa.Table:
-        tables = []
-        for p, off, ln in zip(batch["path"].to_pylist(),
-                              batch["offset"].to_pylist(),
-                              batch["length"].to_pylist()):
-            data = pbf.read_blob_at(p, off, ln)
-            pb = pbf.parse_primitive_block(data, kinds=kinds)
-            if "node" in kinds and pb.nodes["id"]:
-                ids, lat, lon, tags = pbf.block_nodes(pb)
-                n = len(ids)
-                tables.append(pa.table({
-                    "kind": pa.array(["node"] * n, pa.string()),
-                    "id": pa.array(ids.astype(np.int64, copy=False)),
-                    "lat": pa.array(lat),
-                    "lon": pa.array(lon),
-                    "tags": pa.array([json.dumps(t) if t else "" for t in tags],
-                                     pa.string()),
-                    "refs": pa.nulls(n, pa.binary()).fill_null(b""),
-                    "member_ids": pa.nulls(n, pa.binary()).fill_null(b""),
-                    "member_types": pa.nulls(n, pa.binary()).fill_null(b""),
-                    "member_roles": pa.nulls(n, pa.string()).fill_null(""),
-                }, schema=_ENTITY_SCHEMA))
-            if "way" in kinds and pb.ways:
-                rows = {"id": [], "tags": [], "refs": []}
-                for w in pb.ways:
-                    rows["id"].append(int(w["id"]))
-                    t = pbf.way_tags(pb, w)
-                    rows["tags"].append(json.dumps(t) if t else "")
-                    rows["refs"].append(w["refs"].astype(np.int64).tobytes())
-                n = len(rows["id"])
-                tables.append(pa.table({
-                    "kind": pa.array(["way"] * n, pa.string()),
-                    "id": pa.array(rows["id"], pa.int64()),
-                    "lat": pa.nulls(n, pa.float64()).fill_null(float("nan")),
-                    "lon": pa.nulls(n, pa.float64()).fill_null(float("nan")),
-                    "tags": pa.array(rows["tags"], pa.string()),
-                    "refs": pa.array(rows["refs"], pa.binary()),
-                    "member_ids": pa.nulls(n, pa.binary()).fill_null(b""),
-                    "member_types": pa.nulls(n, pa.binary()).fill_null(b""),
-                    "member_roles": pa.nulls(n, pa.string()).fill_null(""),
-                }, schema=_ENTITY_SCHEMA))
-            if "relation" in kinds and pb.relations:
-                rows = {"id": [], "tags": [], "member_ids": [],
-                        "member_types": [], "member_roles": []}
-                for r in pb.relations:
-                    rows["id"].append(int(r["id"]))
-                    t = {pb.strings[int(k)].decode(): pb.strings[int(v)].decode()
-                         for k, v in zip(r["keys"], r["vals"])}
-                    rows["tags"].append(json.dumps(t) if t else "")
-                    rows["member_ids"].append(r["memids"].astype(np.int64).tobytes())
-                    rows["member_types"].append(r["types"].astype(np.int8).tobytes())
-                    rows["member_roles"].append(json.dumps(
-                        [pb.strings[int(s)].decode() for s in r["roles_sid"]]))
-                n = len(rows["id"])
-                tables.append(pa.table({
-                    "kind": pa.array(["relation"] * n, pa.string()),
-                    "id": pa.array(rows["id"], pa.int64()),
-                    "lat": pa.nulls(n, pa.float64()).fill_null(float("nan")),
-                    "lon": pa.nulls(n, pa.float64()).fill_null(float("nan")),
-                    "tags": pa.array(rows["tags"], pa.string()),
-                    "refs": pa.nulls(n, pa.binary()).fill_null(b""),
-                    "member_ids": pa.array(rows["member_ids"], pa.binary()),
-                    "member_types": pa.array(rows["member_types"], pa.binary()),
-                    "member_roles": pa.array(rows["member_roles"], pa.string()),
-                }, schema=_ENTITY_SCHEMA))
-        if not tables:
-            return _ENTITY_SCHEMA.empty_table()
-        return pa.concat_tables(tables)
-    return parse
+def _json(tags: dict) -> str:
+    return json.dumps(tags) if tags else ""
 
 
-def entity_dataset(path, kinds=("node", "way", "relation")) -> ray.data.Dataset:
-    """path: one .osm.pbf or a list of them (entity streams union)."""
-    offs = [{"path": p, "offset": o, "length": l}
-            for p in _paths(path)
-            for o, l, t in pbf.blob_offsets(p) if t == "OSMData"]
-    ds = ray.data.from_items(offs)
-    return ds.map_batches(_parse_blocks(kinds), batch_format="pyarrow",
-                          batch_size=1)
+def _node_rows(ids, lat, lon, tags: list[dict]) -> pa.Table:
+    keep = np.flatnonzero([bool(t) for t in tags]).astype(np.int64)
+    n = len(keep)
+    return pa.table({
+        "kind": pa.array(["node"] * n, pa.string()),
+        "id": ids[keep], "lat": lat[keep], "lon": lon[keep],
+        "tags": pa.array([_json(tags[i]) for i in keep], pa.string()),
+        "refs": pa.ListArray.from_arrays(np.zeros(n + 1, np.int32),
+                                         pa.array([], pa.int64())),
+    }, schema=ENTITY_SCHEMA)
 
 
-NODE_STORE_SHARDS = 16
-NODE_BLOBS_PER_TASK = 4
+def _way_rows(pb: pbf.PrimitiveBlock) -> pa.Table:
+    n = len(pb.ways)
+    refs = [w["refs"].astype(np.int64, copy=False) for w in pb.ways]
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in refs])])
+    return pa.table({
+        "kind": pa.array(["way"] * n, pa.string()),
+        "id": pa.array([int(w["id"]) for w in pb.ways], pa.int64()),
+        "lat": np.full(n, np.nan), "lon": np.full(n, np.nan),
+        "tags": pa.array([_json(pbf.way_tags(pb, w)) for w in pb.ways],
+                         pa.string()),
+        "refs": pa.ListArray.from_arrays(
+            offsets.astype(np.int32),
+            pa.array(np.concatenate(refs) if n else [], pa.int64())),
+    }, schema=ENTITY_SCHEMA)
+
+
+def _relation_rows(pb: pbf.PrimitiveBlock) -> pa.Table:
+    s = pb.strings
+    rels = pb.relations
+    return pa.table({
+        "id": [int(r["id"]) for r in rels],
+        "tags": [_json({s[int(k)].decode(): s[int(v)].decode()
+                        for k, v in zip(r["keys"], r["vals"])}) for r in rels],
+        "member_ids": [r["memids"].astype(np.int64) for r in rels],
+        "member_types": [r["types"].astype(np.int8) for r in rels],
+        "member_roles": [[s[int(i)].decode() for i in r["roles_sid"]]
+                         for r in rels],
+    }, schema=RELATION_SCHEMA)
 
 
 @ray.remote
-def _split_nodes(blobs, boundaries):
-    """Decode a few OSMData blobs and split their nodes by id range:
-    one unsorted (ids, lat, lon) piece per range of `boundaries`, each
+def _decode(blobs, boundaries):
+    """One decode task: parse a few OSMData blobs once, every kind.
+    Returns the entity table, the relation table and one unsorted
+    (ids, lat, lon) node-store piece per id range of `boundaries`, each
     a return value of its own."""
+    ents = [ENTITY_SCHEMA.empty_table()]
+    rels = [RELATION_SCHEMA.empty_table()]
     ids, lat, lon = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0)]
     for p, off, ln in blobs:
-        pb = pbf.parse_primitive_block(pbf.read_blob_at(p, off, ln),
-                                       kinds=("node",))
-        if not pb.nodes["id"]:
-            continue
-        ids.append(np.concatenate(pb.nodes["id"]).astype(np.int64, copy=False))
-        lat.append(pbf.NANO * (pb.lat_offset + pb.granularity *
-                               np.concatenate(pb.nodes["lat"])))
-        lon.append(pbf.NANO * (pb.lon_offset + pb.granularity *
-                               np.concatenate(pb.nodes["lon"])))
-    ids, lat, lon = np.concatenate(ids), np.concatenate(lat), np.concatenate(lon)
+        pb = pbf.parse_primitive_block(pbf.read_blob_at(p, off, ln))
+        b_ids, b_lat, b_lon, b_tags = pbf.block_nodes(pb)
+        ids.append(b_ids.astype(np.int64, copy=False))
+        lat.append(b_lat)
+        lon.append(b_lon)
+        ents += [_node_rows(ids[-1], b_lat, b_lon, b_tags), _way_rows(pb)]
+        rels.append(_relation_rows(pb))
+    ids, lat, lon = (np.concatenate(a) for a in (ids, lat, lon))
     shard = np.searchsorted(boundaries, ids, side="right")
     pieces = [(ids[m], lat[m], lon[m])
               for m in (shard == k for k in range(len(boundaries) + 1))]
-    return pieces if len(pieces) > 1 else pieces[0]
+    return (pa.concat_tables(ents), pa.concat_tables(rels), *pieces)
 
 
 @ray.remote
@@ -225,17 +206,16 @@ def _seal_shard(*pieces):
             np.concatenate([p[2] for p in pieces])[order])
 
 
-def _node_range_boundaries(path: str, num_shards: int,
+def _node_range_boundaries(blobs: list, num_shards: int,
                            max_sample: int = 64) -> np.ndarray:
     """Quantile node-id boundaries for RANGE sharding, from the minimum
-    id of ~max_sample evenly-spaced OSMData blocks (dense-node blocks
-    hold roughly equal node counts, so block-min quantiles approximate
-    id quantiles; one tiny sampling pass, no full read)."""
-    offs = [(p, o, l) for p in _paths(path)
-            for o, l, t in pbf.blob_offsets(p) if t == "OSMData"]
-    step = max(1, len(offs) // max_sample)
+    id of ~max_sample evenly-spaced OSMData blobs (path, offset, length)
+    (dense-node blocks hold roughly equal node counts, so block-min
+    quantiles approximate id quantiles; one tiny sampling pass, no full
+    read)."""
+    step = max(1, len(blobs) // max_sample)
     mins = []
-    for p, o, l in offs[::step]:
+    for p, o, l in blobs[::step]:
         m = pbf.block_min_node_id(pbf.read_blob_at(p, o, l))
         if m is not None:
             mins.append(m)
@@ -247,46 +227,57 @@ def _node_range_boundaries(path: str, num_shards: int,
     return mins[idx]
 
 
-def build_node_store(path: str, num_shards: int = NODE_STORE_SHARDS):
-    """ST2 (sorted_node_store.cpp semantics) on Ray tasks: split tasks
-    decode NODE_BLOBS_PER_TASK OSMData blobs each and cut their
-    (node_id, lat, lon) by id RANGE into one piece per shard; one seal
-    task per range concatenates its pieces and sorts them by id.
-    Returns (shard ObjectRefs, range boundaries); the refs are
-    driver-owned task returns, and the driver never materializes the
-    store.
+class Decoded(NamedTuple):
+    entities: list        # ObjectRefs of the decode tasks' entity tables
+    relations: pa.Table   # every relation, in file order
+    node_store: tuple     # (shard ObjectRefs, range boundaries)
 
-    RANGE (not hash) sharding is the multi-node design (VERDICT r2 #5;
-    reference --shard-stores, pbf_processor.cpp:619-636): OSM ways
-    reference id-local nodes, so a way batch touches FEW ranges and a
-    reader lazily loads only those shards — per-machine store bytes ≈
-    total/num_shards instead of one full copy per machine."""
-    boundaries = _node_range_boundaries(path, num_shards)
-    offs = [(p, o, l) for p in _paths(path)
-            for o, l, t in pbf.blob_offsets(p) if t == "OSMData"]
-    split = _split_nodes.options(num_returns=num_shards)
-    pieces = []
-    # an input with no data blobs still gets one (empty) split
-    for i in range(0, len(offs) or 1, NODE_BLOBS_PER_TASK):
-        r = split.remote(offs[i:i + NODE_BLOBS_PER_TASK], boundaries)
-        pieces.append([r] if num_shards == 1 else r)  # num_returns=1: bare ref
-    refs = [_seal_shard.remote(*(p[k] for p in pieces))
-            for k in range(num_shards)]
-    # wait, so the store is built inside this call; fetch_local=False
-    # leaves the shard bytes in the object store
-    ray.wait(refs, num_returns=len(refs), fetch_local=False)
-    return refs, boundaries
+
+def decode(path, num_shards: int = NODE_STORE_SHARDS) -> Decoded:
+    """The decode wave over one .osm.pbf or a list of them: every
+    OSMData blob is read and parsed once, by one of the tasks that take
+    BLOBS_PER_TASK blobs each.
+
+    The node store is ST2 (sorted_node_store.cpp semantics) on Ray
+    tasks: each decode task cuts its blobs' (node_id, lat, lon) by id
+    RANGE into one piece per shard, and one seal task per range
+    concatenates its pieces and sorts them by id. RANGE (not hash)
+    sharding is the multi-node design (VERDICT r2 #5; reference
+    --shard-stores, pbf_processor.cpp:619-636): OSM ways reference
+    id-local nodes, so a way batch touches FEW ranges and a reader
+    lazily loads only those shards — per-machine store bytes ≈
+    total/num_shards instead of one full copy per machine.
+
+    The driver reads back only the relation tables; the entity tables
+    and the shards stay in the object store."""
+    blobs = [(p, o, l) for p in _paths(path)
+             for o, l, t in pbf.blob_offsets(p) if t == "OSMData"]
+    boundaries = _node_range_boundaries(blobs, num_shards)
+    task = _decode.options(num_returns=2 + num_shards)
+    # an input with no data blobs still gets one (empty) task
+    outs = [task.remote(blobs[i:i + BLOBS_PER_TASK], boundaries)
+            for i in range(0, len(blobs) or 1, BLOBS_PER_TASK)]
+    shards = [_seal_shard.remote(*(o[2 + k] for o in outs))
+              for k in range(num_shards)]
+    rels = pa.concat_tables(ray.get([o[1] for o in outs]))
+    return Decoded([o[0] for o in outs], rels, (shards, boundaries))
+
+
+def build_node_store(path, num_shards: int = NODE_STORE_SHARDS):
+    """The node store of `path` alone: (shard ObjectRefs, range
+    boundaries) of its decode wave."""
+    return decode(path, num_shards).node_store
 
 
 class WayAssembler:
     """Per-worker node-store reader (ST3 way assembly): vectorized
     np.searchsorted gather of every way's refs against the sorted
-    shards.  No shuffle: ways stay in their parse partitions — this
-    replaced the round-1 refs-explode → hash join → per-way group map
-    chain (two all-to-alls and one 1-row DataFrame per way).
+    shards.  No shuffle: ways stay in their decode task's entity table
+    — this replaced the round-1 refs-explode → hash join → per-way
+    group map chain (two all-to-alls and one 1-row DataFrame per way).
 
     Shards load LAZILY per range actually referenced (VERDICT r2 #5):
-    with range sharding, a worker's batches reference id-local nodes,
+    with range sharding, a worker's tables reference id-local nodes,
     so it holds ~touched/num_shards of the store, not a full copy.
     Resident shards are LRU-evicted against a byte budget (VERDICT r3
     #5): the assembler lives in a reused task worker process
@@ -344,16 +335,14 @@ class WayAssembler:
         return lat, lon, ~np.isnan(lat)
 
     def __call__(self, b: pa.Table) -> pd.DataFrame:
-        m = pa.compute.equal(b.column("kind"), "way")
-        t = b.filter(m)
+        """The ways of an entity table with their coordinates: rows
+        (id, tags, geom [packed mls], closed, n_refs)."""
+        t = b.filter(pc.equal(b.column("kind"), "way"))
         ids_out, tags_out, geoms, closed, n_refs = [], [], [], [], []
         if t.num_rows:
-            ref_arrays = [np.frombuffer(r.as_py(), dtype=np.int64)
-                          for r in t.column("refs")]
-            lens = np.array([len(r) for r in ref_arrays], dtype=np.int64)
-            all_refs = np.concatenate(ref_arrays) if ref_arrays else \
-                np.empty(0, np.int64)
-            lat, lon, ok = self.lookup(all_refs)
+            refs = t.column("refs")
+            lens = pc.list_value_length(refs).to_numpy()
+            lat, lon, ok = self.lookup(pc.list_flatten(refs).to_numpy())
             latp = tm.lat2latp(lat)
             wids = t.column("id").to_numpy()
             wtags = t.column("tags").to_pylist()
@@ -380,12 +369,13 @@ class WayAssembler:
 
 
 # per-worker-process assembler cache: Ray reuses worker processes, so
-# plain map_batches tasks keep the lazily-loaded shard views across
-# tasks without a dedicated actor pool.  Shards are plasma objects —
-# ray.get returns zero-copy shared-memory views on the same node — so
-# N worker processes do NOT hold N copies; a fresh actor pool per call
-# was paying 8 process startups + imports (~3-5 s) to protect state
-# that is effectively free to share.
+# the plain map tasks of the tile and multipolygon waves keep the
+# lazily-loaded shard views across tasks without a dedicated actor
+# pool.  Shards are plasma objects — ray.get returns zero-copy
+# shared-memory views on the same node — so N worker processes do NOT
+# hold N copies; a fresh actor pool per call was paying 8 process
+# startups + imports (~3-5 s) to protect state that is effectively
+# free to share.
 _ASSEMBLER_CACHE: dict[tuple, "WayAssembler"] = {}
 
 
@@ -399,176 +389,66 @@ def _cached_assembler(node_store) -> "WayAssembler":
     return wa
 
 
-def assembled_ways(path: str, node_store=None) -> ray.data.Dataset:
-    """Ways with coordinates (J1): node-store gather, not a join.
-    Returns rows (id, tags, geom [packed mls], closed)."""
-    if node_store is None:
-        node_store = build_node_store(path)
-    ways = entity_dataset(path, kinds=("way",))
-
-    def assemble(b: pa.Table) -> pd.DataFrame:
-        return _cached_assembler(node_store)(b)
-
-    return ways.map_batches(assemble, batch_format="pyarrow")
+def assembled_ways(path) -> ray.data.Dataset:
+    """Ways with coordinates (J1): node-store gather, not a join; one
+    block per decode task. Returns rows (id, tags, geom [packed mls],
+    closed, n_refs). The tile build gathers its ways inside its own map
+    tasks (FeatureMap) and does not call this."""
+    d = decode(path)
+    store = d.node_store
+    return map_wave(d.entities, lambda ents: _cached_assembler(store)(ents))
 
 
-def multipolygon_members(path: str) -> dict[int, list[tuple[int, str, str]]]:
-    """Driver-side scan of multipolygon relations (relations are the
-    smallest entity class): {way_id: [(rel_id, role, rtags_json)]}.
-    Broadcast via ray.put — the way→relation assignment then happens
-    map-side, replacing the round-1 hash join whose fixed shuffle cost
-    dwarfed the tiny member table."""
-    ents = entity_dataset(path, kinds=("relation",))
-    members: dict[int, list[tuple[int, str, str]]] = {}
-    for b in ents.iter_batches(batch_format="pyarrow"):
-        for i in range(b.num_rows):
-            tags = json.loads(b.column("tags")[i].as_py() or "{}")
-            if tags.get("type") != "multipolygon":
-                continue
-            mids = np.frombuffer(b.column("member_ids")[i].as_py(), dtype=np.int64)
-            mtypes = np.frombuffer(b.column("member_types")[i].as_py(), dtype=np.int8)
-            roles = json.loads(b.column("member_roles")[i].as_py() or "[]")
-            rid = int(b.column("id")[i].as_py())
-            rtags = json.dumps(tags)
-            for m in range(len(mids)):
-                if mtypes[m] != pbf.MEMBER_WAY:
-                    continue
-                members.setdefault(int(mids[m]), []).append(
-                    (rid, roles[m] if m < len(roles) else "", rtags))
-    return members
+# --- relations ----------------------------------------------------------
+
+class Relations(NamedTuple):
+    """The driver-side relation tables, small and shipped to the tasks
+    with their prep (the reference holds them in memory too)."""
+    way_members: dict        # {way_id: [(rel_id, role)]}, accepted rels
+    node_members: dict       # {node_id: [(rel_id, role)]}, accepted rels
+    tags: dict               # {rel_id: tags}, accepted, after postscan
+    multipolygons: dict      # {way_id: [(rel_id, role)]}, multipolygons
+    multipolygon_tags: dict  # {rel_id: tags JSON}, multipolygons
 
 
-def assembled_multipolygons(path: str, num_partitions: int = 8,
-                            ways_ds: ray.data.Dataset | None = None) -> ray.data.Dataset:
-    """Relation multipolygon assembly (M9, J2): member ways tagged
-    map-side from the broadcast member table, one exchange
-    (chain.exchange) on a rel_id partition key to co-locate each
-    relation's fragments, rings stitched from way fragments (endpoint
-    matching, mergeMultiPolygonWays semantics) → inners assigned to the
-    containing outer by PIP.
-    Returns rows (id, tags, geom [packed mp])."""
-    members_ref = ray.put(multipolygon_members(path))
-    if ways_ds is None:
-        ways_ds = assembled_ways(path)
-
-    def tag_members(df: pd.DataFrame) -> pd.DataFrame:
-        members = ray.get(members_ref)
-        out = {"rel_id": [], "role": [], "rtags": [], "geom": []}
-        for wid, geom in zip(df["id"].to_numpy(), df["geom"].to_numpy()):
-            for rid, role, rtags in members.get(int(wid), ()):
-                out["rel_id"].append(rid)
-                out["role"].append(role)
-                out["rtags"].append(rtags)
-                out["geom"].append(geom)
-        return pd.DataFrame({
-            "rel_id": np.array(out["rel_id"], dtype=np.int64),
-            "role": pd.Series(out["role"], dtype=object),
-            "rtags": pd.Series(out["rtags"], dtype=object),
-            "geom": pd.Series(out["geom"], dtype=object),
-        })
-
-    joined = ways_ds.map_batches(tag_members, batch_format="pandas")
-
-    def build_one(rel_id: int, roles, geoms, rtags_arr):
-        from ..stages.render import reorder_multilinestring
-        outers = []
-        inners = []
-        for role, geom in zip(roles, geoms):
-            _, parts = gc.unpack(geom)
-            (inners if role == "inner" else outers).extend(parts)
-        out_rings = [gc.close_ring(ls) for ls in reorder_multilinestring(outers)
-                     if len(ls) >= 3]
-        in_rings = [gc.close_ring(ls) for ls in reorder_multilinestring(inners)
-                    if len(ls) >= 3]
-        out_rings = [r for r in out_rings if (r[0] == r[-1]).all() and len(r) >= 4]
-        if not out_rings:
-            return None
-        polys = []
-        for orr in out_rings:
-            rings = [orr]
-            for ir in in_rings:
-                if gc.points_in_polygon(ir[:1, 0], ir[:1, 1], [orr])[0]:
-                    rings.append(ir)
-            polys.append(gc.correct_polygon(rings))
-        # CorrectGeometry (osm_lua_processing.h:160-186): dissolve any
-        # relation polygon that still self-intersects
-        polys = gc.correct_geometry(polys)
-        tags = next((t for t in rtags_arr if t), "")
-        return (int(rel_id), tags, gc.pack_mp(polys))
-
-    def build_partition(g: pd.DataFrame) -> pd.DataFrame:
-        """All relations of one pk partition, numpy run-slicing over a
-        rel_id sort — one DataFrame per PARTITION, not per relation
-        (per-group 1-row frames are fatal at 1e7 relations)."""
-        order = np.argsort(g["rel_id"].to_numpy(), kind="stable")
-        rel = g["rel_id"].to_numpy()[order]
-        roles = g["role"].to_numpy()[order]
-        geoms = g["geom"].to_numpy()[order]
-        rtags = g["rtags"].to_numpy()[order]
-        bounds = np.flatnonzero(rel[1:] != rel[:-1]) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(rel)]])
-        ids, tags_out, geoms_out = [], [], []
-        for s, e in zip(starts, ends):
-            r = build_one(rel[s], roles[s:e], geoms[s:e], rtags[s:e])
-            if r is not None:
-                ids.append(r[0])
-                tags_out.append(r[1])
-                geoms_out.append(r[2])
-        return pd.DataFrame({"id": np.array(ids, dtype=np.int64),
-                             "tags": pd.Series(tags_out, dtype=object),
-                             "geom": pd.Series(geoms_out, dtype=object)})
-
-    def add_rel_pk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["pk"] = (df["rel_id"].to_numpy() % num_partitions).astype(np.int32)
-        return df
-
-    return exchange(joined.map_batches(add_rel_pk, batch_format="pandas"),
-                    "pk", build_partition, num_partitions)
-
-
-def relation_scan_tables(path: str, scan_fn=None, postscan_fn=None):
-    """RelationScan phase (M12-M14): build the small broadcast side
-    tables the reference keeps globally (osm_store.h:97-200):
-
-      way_members:  {way_id: [(rel_id, role), ...]}   (J9/M13)
-      node_members: {node_id: [(rel_id, role), ...]}  (NextRelation on
-                    nodes — e.g. capital label roles)
-      rel_tags:     {rel_id: tags}                    (accepted only)
+def relation_tables(rels: pa.Table, scan_fn=None,
+                    postscan_fn=None) -> Relations:
+    """RelationScan (M12-M14) and the multipolygon member table in one
+    pass over the decoded relation rows, one json.loads per relation.
+    The side tables are those the reference keeps globally
+    (osm_store.h:97-200): way and node members of the accepted
+    relations (J9/M13; NextRelation on nodes — e.g. capital label
+    roles) and the accepted relations' tags.
 
     scan_fn(tags) -> bool is relation_scan_function + Accept()
     (osm_lua_processing.cpp:985-1002); postscan_fn(rel_id, tags,
     parents) -> tags is relation_postscan_function + SetTag with the
     relation→parent-relation DAG flattened cycle-safely
-    (osm_lua_processing.cpp:1005-1017, osm_store.h:172-191).
-
-    Relations are ~1e-3 of entities; this table is driver-side small
-    and broadcast via ray.put (the reference holds it in memory too).
-    """
-    rels = entity_dataset(path, kinds=("relation",)).to_pandas()
+    (osm_lua_processing.cpp:1005-1017, osm_store.h:172-191). Every
+    type=multipolygon relation's way members go to the multipolygon
+    table, whatever scan_fn says."""
     accepted: dict[int, dict] = {}
     members: dict[int, list] = {}       # rel -> [(member_id, type, role)]
     parents: dict[int, list] = {}       # child rel -> [(parent_rel, role)]
-    for rid, tj, mid_b, mt_b, roles_j in zip(
-            rels["id"].to_numpy(), rels["tags"].to_numpy(),
-            rels["member_ids"].to_numpy(), rels["member_types"].to_numpy(),
-            rels["member_roles"].to_numpy()):
-        tags = json.loads(tj or "{}")
+    mp_members: dict[int, list] = {}
+    mp_tags: dict[int, str] = {}
+    for rid, tj, mids, mtypes, roles in zip(
+            *(rels.column(c).to_pylist() for c in RELATION_SCHEMA.names)):
+        tags = json.loads(tj) if tj else {}
+        mlist = [(mid, mtype, roles[m] if m < len(roles) else "")
+                 for m, (mid, mtype) in enumerate(zip(mids, mtypes))]
+        if tags.get("type") == "multipolygon":
+            mp_tags[rid] = tj
+            for mid, mtype, role in mlist:
+                if mtype == pbf.MEMBER_WAY:
+                    mp_members.setdefault(mid, []).append((rid, role))
         if scan_fn is not None and not scan_fn(tags):
             continue
-        rid = int(rid)
         accepted[rid] = tags
-        mids = np.frombuffer(mid_b, dtype=np.int64)
-        mtypes = np.frombuffer(mt_b, dtype=np.int8)
-        roles = json.loads(roles_j or "[]")
-        mlist = []
-        for m in range(len(mids)):
-            role = roles[m] if m < len(roles) else ""
-            mlist.append((int(mids[m]), int(mtypes[m]), role))
-            if mtypes[m] == pbf.MEMBER_RELATION:
-                parents.setdefault(int(mids[m]), []).append((rid, role))
         members[rid] = mlist
+        for mid, mtype, role in mlist:
+            if mtype == pbf.MEMBER_RELATION:
+                parents.setdefault(mid, []).append((rid, role))
     # post-scan bounce-down over the relation DAG (cycle-guarded)
     if postscan_fn is not None:
         for rid in list(accepted):
@@ -595,7 +475,107 @@ def relation_scan_tables(path: str, scan_fn=None, postscan_fn=None):
                 way_members.setdefault(mid, []).append((rid, role))
             elif mtype == pbf.MEMBER_NODE:
                 node_members.setdefault(mid, []).append((rid, role))
-    return way_members, node_members, accepted
+    return Relations(way_members, node_members, accepted, mp_members,
+                     mp_tags)
+
+
+def _ways_among(ents: pa.Table, way_ids: dict) -> pa.Table:
+    """The ways of an entity table whose id is a key of `way_ids`."""
+    return ents.filter(pc.and_(
+        pc.equal(ents.column("kind"), "way"),
+        pc.is_in(ents.column("id"),
+                 value_set=pa.array(list(way_ids), pa.int64()))))
+
+
+def _fragments(node_store, members: dict, nparts: int,
+               ents: pa.Table) -> pd.DataFrame:
+    """The multipolygon wave's prep: one entity table's member ways,
+    assembled, one row per (relation, member way), keyed by
+    pk = rel_id % nparts."""
+    ways = _cached_assembler(node_store)(_ways_among(ents, members))
+    rel_id, role, geom = [], [], []
+    for wid, g in zip(ways["id"].to_numpy(), ways["geom"].to_numpy()):
+        for rid, r in members[int(wid)]:
+            rel_id.append(rid)
+            role.append(r)
+            geom.append(g)
+    rel_id = np.array(rel_id, dtype=np.int64)
+    return pd.DataFrame({"rel_id": rel_id,
+                         "role": pd.Series(role, dtype=object),
+                         "geom": pd.Series(geom, dtype=object),
+                         "pk": (rel_id % nparts).astype(np.int32)})
+
+
+def _multipolygon(roles, geoms):
+    """One relation's packed multipolygon from its member fragments
+    (ring stitching, PIP hole assignment), or None without an outer."""
+    from ..stages.render import reorder_multilinestring
+    outers = []
+    inners = []
+    for role, geom in zip(roles, geoms):
+        _, parts = gc.unpack(geom)
+        (inners if role == "inner" else outers).extend(parts)
+    out_rings = [gc.close_ring(ls) for ls in reorder_multilinestring(outers)
+                 if len(ls) >= 3]
+    in_rings = [gc.close_ring(ls) for ls in reorder_multilinestring(inners)
+                if len(ls) >= 3]
+    out_rings = [r for r in out_rings if (r[0] == r[-1]).all() and len(r) >= 4]
+    if not out_rings:
+        return None
+    polys = []
+    for orr in out_rings:
+        rings = [orr]
+        for ir in in_rings:
+            if gc.points_in_polygon(ir[:1, 0], ir[:1, 1], [orr])[0]:
+                rings.append(ir)
+        polys.append(gc.correct_polygon(rings))
+    # CorrectGeometry (osm_lua_processing.h:160-186): dissolve any
+    # relation polygon that still self-intersects
+    return gc.pack_mp(gc.correct_geometry(polys))
+
+
+def _build_multipolygons(tags: dict, g: pd.DataFrame) -> pd.DataFrame:
+    """The multipolygon wave's reducer: all relations of one pk, numpy
+    run-slicing over a rel_id sort — one DataFrame per PARTITION, not
+    per relation (per-group 1-row frames are fatal at 1e7 relations)."""
+    order = np.argsort(g["rel_id"].to_numpy(), kind="stable")
+    rel = g["rel_id"].to_numpy()[order]
+    roles = g["role"].to_numpy()[order]
+    geoms = g["geom"].to_numpy()[order]
+    bounds = np.flatnonzero(rel[1:] != rel[:-1]) + 1
+    ids, tags_out, geoms_out = [], [], []
+    for s, e in zip(np.concatenate([[0], bounds]),
+                    np.concatenate([bounds, [len(rel)]])):
+        mp = _multipolygon(roles[s:e], geoms[s:e])
+        if mp is not None:
+            ids.append(int(rel[s]))
+            tags_out.append(tags[int(rel[s])])
+            geoms_out.append(mp)
+    return pd.DataFrame({"id": np.array(ids, dtype=np.int64),
+                         "tags": pd.Series(tags_out, dtype=object),
+                         "geom": pd.Series(geoms_out, dtype=object)})
+
+
+def assembled_multipolygons(decoded: Decoded, relations: Relations,
+                            num_partitions: int = 8) -> list:
+    """Relation multipolygon assembly (M9, J2): one `chain.waves` over
+    the decoded entity tables. Each map task assembles the ways of its
+    table that are multipolygon members and keys them by rel_id, so
+    each relation's fragments meet in one reducer, which stitches rings
+    from them (endpoint matching, mergeMultiPolygonWays semantics) and
+    assigns inners to the containing outer by PIP.
+    Returns the ObjectRefs of the reducers' frames that hold relations,
+    rows (id, tags [JSON], geom [packed mp])."""
+    if not relations.multipolygons:
+        return []
+    outs, rows = waves(
+        decoded.entities,
+        functools.partial(_fragments, decoded.node_store,
+                          relations.multipolygons, num_partitions),
+        "pk",
+        functools.partial(_build_multipolygons, relations.multipolygon_tags),
+        num_partitions)
+    return [out for out, n in zip(outs, rows) if n]
 
 
 # --- OSM profile --------------------------------------------------------
@@ -698,115 +678,133 @@ class OsmProfile:
         emit.MinZoom(10)
 
 
+# --- features -----------------------------------------------------------
+
+def _feature_columns() -> dict:
+    return {k: [] for k in FEATURE_SCHEMA.names}
+
+
+def nodes_to_features(t: pa.Table, profile, known: set[str],
+                      relations: Relations) -> pa.Table:
+    """Tagged nodes → FEATURE_SCHEMA rows through node_function."""
+    nm, rt = relations.node_members, relations.tags
+    out = _feature_columns()
+    for nid, lat, lon, tj in zip(*(t.column(c).to_pylist()
+                                   for c in ("id", "lat", "lon", "tags"))):
+        tags = json.loads(tj)
+        if not profile.node_filter.accept(tags):
+            continue
+        emit = Emitter(known)
+        latp = float(tm.lat2latp(lat))
+        rels = [(rid, role, rt[rid]) for rid, role in nm.get(nid, [])
+                if rid in rt]
+        profile.node_function(nid, lon, latp, tags, emit, relations=rels)
+        _append_features(out, emit, f"osm:node/{nid}", nid << 2)
+    return pa.table(out, schema=FEATURE_SCHEMA)
+
+
+def ways_to_features(df: pd.DataFrame, profile, known: set[str],
+                     relations: Relations) -> pa.Table:
+    """Assembled ways (WayAssembler rows) → FEATURE_SCHEMA rows through
+    way_function."""
+    wm, rt = relations.way_members, relations.tags
+    out = _feature_columns()
+    for wid, wtags, wgeom, wclosed in zip(
+            df["id"].to_numpy(), df["tags"].to_numpy(),
+            df["geom"].to_numpy(), df["closed"].to_numpy()):
+        tags = json.loads(wtags or "{}")
+        rels = [(rid, role, rt[rid]) for rid, role in wm.get(int(wid), [])
+                if rid in rt]
+        if not rels and not profile.way_filter.accept(tags):
+            continue
+        kind, parts = gc.unpack(wgeom)
+        emit = Emitter(known)
+        profile.way_function(int(wid), parts[0], bool(wclosed), tags, emit,
+                             relations=rels)
+        _append_features(out, emit, f"osm:way/{wid}", (int(wid) << 2) | 1)
+    return pa.table(out, schema=FEATURE_SCHEMA)
+
+
+def rels_to_features(df: pd.DataFrame, profile, known: set[str]) -> pa.Table:
+    """Assembled multipolygons → FEATURE_SCHEMA rows through
+    relation_function."""
+    out = _feature_columns()
+    for rid, rtags, rgeom in zip(df["id"].to_numpy(), df["tags"].to_numpy(),
+                                 df["geom"].to_numpy()):
+        kind, polys = gc.unpack(rgeom)
+        emit = Emitter(known)
+        profile.relation_function(int(rid), polys, json.loads(rtags), emit)
+        _append_features(out, emit, f"osm:relation/{rid}",
+                         (int(rid) << 2) | 2)
+    return pa.table(out, schema=FEATURE_SCHEMA)
+
+
+class FeatureMap:
+    """The prep of an OSM build's map task: one unit → FEATURE_SCHEMA
+    rows. A unit is a decode task's entity table, a multipolygon
+    reducer's frame, or the external layers' features, which pass
+    through."""
+
+    def __init__(self, profile, known: set[str], node_store,
+                 relations: Relations):
+        self.profile = profile
+        self.known = known
+        self.node_store = node_store
+        self.relations = relations
+
+    def __call__(self, unit) -> pa.Table:
+        if isinstance(unit, pd.DataFrame):
+            return rels_to_features(unit, self.profile, self.known)
+        if "kind" not in unit.column_names:
+            return unit
+        nodes = unit.filter(pc.equal(unit.column("kind"), "node"))
+        # M2 prefilter: untagged ways never emit UNLESS they are members
+        # of an accepted relation (e.g. untagged admin-boundary segment
+        # ways, which the profile renders from relation context), so
+        # only the others are gathered
+        ways = unit.filter(pc.and_(
+            pc.equal(unit.column("kind"), "way"),
+            pc.or_(pc.not_equal(unit.column("tags"), ""),
+                   pc.is_in(unit.column("id"), value_set=pa.array(
+                       list(self.relations.way_members), pa.int64())))))
+        return pa.concat_tables([
+            nodes_to_features(nodes, self.profile, self.known,
+                              self.relations),
+            ways_to_features(_cached_assembler(self.node_store)(ways),
+                             self.profile, self.known, self.relations)])
+
+
+def _feature_units(path, config: Config, profile) -> tuple[list, FeatureMap]:
+    """The units of an OSM build and their prep: the decode wave's
+    entity tables, the multipolygon wave's relations and the external
+    layers' features."""
+    profile = profile or OsmProfile()
+    known = {l.name for l in config.layers}
+    decoded = decode(path)
+    relations = relation_tables(decoded.relations, profile.relation_scan,
+                                profile.relation_postscan)
+    units = decoded.entities + assembled_multipolygons(decoded, relations)
+    # external shapefile/GeoJSON layers (LayerDef.source — the
+    # reference's --input .shp path, shp_mem_tiles.cpp): loaded once on
+    # the driver (coastline-scale inputs are small vs the pbf), emitted
+    # through the same Emitter/FEATURE_SCHEMA path, one unit more
+    ext = external_features_table(
+        config, getattr(profile, "attribute_function", None), known)
+    if ext is not None and ext.num_rows:
+        units.append(ray.put(ext))
+    return units, FeatureMap(profile, known, decoded.node_store, relations)
+
+
 def osm_feature_dataset(path, config: Config | None = None,
                         profile=None) -> ray.data.Dataset:
-    """Entities → FEATURE_SCHEMA rows (same schema as the web path).
+    """Entities → FEATURE_SCHEMA rows (same schema as the web path), one
+    block per unit of the tile build.
 
     `profile` is any object with the OsmProfile hook surface
     (node_filter/way_filter, node_function/way_function,
     relation_scan/relation_postscan, relation_function) — e.g. the
     OpenMapTiles port in profiles/openmaptiles.py."""
-    config = config or osm_config()
-    profile = profile or OsmProfile()
-    known = {l.name for l in config.layers}
-    # RelationScan side tables, broadcast once (M12-M14/J9)
-    way_members, node_members, rel_tags = relation_scan_tables(
-        path, scan_fn=profile.relation_scan,
-        postscan_fn=profile.relation_postscan)
-    members_ref = ray.put((way_members, node_members, rel_tags))
-
-    def nodes_to_features(b: pa.Table) -> pa.Table:
-        from ..stages.extract import FEATURE_SCHEMA
-        _, nm, rt = ray.get(members_ref)
-        # M2 prefilter, vectorized: untagged nodes can never emit — drop
-        # them before the per-entity Python loop (the loop over 1e9
-        # mostly-untagged nodes is otherwise the extraction bottleneck)
-        m = pa.compute.and_(pa.compute.equal(b.column("kind"), "node"),
-                            pa.compute.not_equal(b.column("tags"), ""))
-        t = b.filter(m)
-        out = {k: [] for k in ("url", "feature_id", "layer", "geom_type",
-                               "min_zoom", "z_order", "attrs", "lon", "latp", "geom")}
-        for i in range(t.num_rows):
-            tags = json.loads(t.column("tags")[i].as_py() or "{}")
-            if not profile.node_filter.accept(tags):
-                continue
-            emit = Emitter(known)
-            nid = t.column("id")[i].as_py()
-            lon = t.column("lon")[i].as_py()
-            latp = float(tm.lat2latp(t.column("lat")[i].as_py()))
-            rels = [(rid, role, rt[rid]) for rid, role in nm.get(int(nid), [])
-                    if rid in rt]
-            profile.node_function(nid, lon, latp, tags, emit, relations=rels)
-            _append_features(out, emit, f"osm:node/{nid}", nid << 2)
-        return pa.table(out, schema=FEATURE_SCHEMA)
-
-    nodes = entity_dataset(path, kinds=("node",)).map_batches(
-        nodes_to_features, batch_format="pyarrow")
-
-    def ways_to_features(df: pd.DataFrame) -> pa.Table:
-        from ..stages.extract import FEATURE_SCHEMA
-        wm, _, rt = ray.get(members_ref)
-        out = {k: [] for k in ("url", "feature_id", "layer", "geom_type",
-                               "min_zoom", "z_order", "attrs", "lon", "latp", "geom")}
-        # M2 prefilter: untagged ways never emit UNLESS they are members
-        # of an accepted relation (e.g. untagged admin-boundary segment
-        # ways, which the profile renders from relation context)
-        ids = df["id"].to_numpy()
-        tagged = df["tags"].to_numpy() != ""
-        if wm:
-            member = np.isin(ids, np.fromiter(wm.keys(), dtype=np.int64,
-                                              count=len(wm)))
-            df = df[tagged | member]
-        else:
-            df = df[tagged]
-        for wid, wtags, wgeom, wclosed in zip(
-                df["id"].to_numpy(), df["tags"].to_numpy(),
-                df["geom"].to_numpy(), df["closed"].to_numpy()):
-            tags = json.loads(wtags or "{}")
-            rels = [(rid, role, rt[rid]) for rid, role in wm.get(int(wid), [])
-                    if rid in rt]
-            if not rels and not profile.way_filter.accept(tags):
-                continue
-            kind, parts = gc.unpack(wgeom)
-            emit = Emitter(known)
-            profile.way_function(int(wid), parts[0], bool(wclosed), tags, emit,
-                                 relations=rels)
-            _append_features(out, emit, f"osm:way/{wid}", (int(wid) << 2) | 1)
-        return pa.table(out, schema=FEATURE_SCHEMA)
-
-    # materialize assembled ways once: both the way features and the
-    # relation multipolygon assembly consume them (avoids running the
-    # ways⋈nodes join twice)
-    ways_ds = assembled_ways(path).materialize()
-    ways = ways_ds.map_batches(ways_to_features, batch_format="pandas")
-
-    def rels_to_features(df: pd.DataFrame) -> pa.Table:
-        from ..stages.extract import FEATURE_SCHEMA
-        out = {k: [] for k in ("url", "feature_id", "layer", "geom_type",
-                               "min_zoom", "z_order", "attrs", "lon", "latp", "geom")}
-        for rid, rtags, rgeom in zip(df["id"].to_numpy(), df["tags"].to_numpy(),
-                                     df["geom"].to_numpy()):
-            tags = json.loads(rtags or "{}")
-            kind, polys = gc.unpack(rgeom)
-            emit = Emitter(known)
-            profile.relation_function(int(rid), polys, tags, emit)
-            _append_features(out, emit, f"osm:relation/{rid}",
-                             (int(rid) << 2) | 2)
-        return pa.table(out, schema=FEATURE_SCHEMA)
-
-    rels = assembled_multipolygons(path, ways_ds=ways_ds).map_batches(
-        rels_to_features, batch_format="pandas")
-    feats = nodes.union(ways).union(rels)
-
-    # external shapefile/GeoJSON layers (LayerDef.source — the
-    # reference's --input .shp path, shp_mem_tiles.cpp): loaded once on
-    # the driver (coastline-scale inputs are small vs the pbf), emitted
-    # through the same Emitter/FEATURE_SCHEMA path, unioned in
-    ext = external_features_table(
-        config, getattr(profile, "attribute_function", None), known)
-    if ext is not None and ext.num_rows:
-        feats = feats.union(ray.data.from_arrow(ext))
-    return feats
+    return map_wave(*_feature_units(path, config or osm_config(), profile))
 
 
 def external_features_table(config: Config, attribute_function=None,
@@ -818,15 +816,12 @@ def external_features_table(config: Config, attribute_function=None,
     import os
 
     from ..sources import load_external_layer
-    from ..stages.extract import FEATURE_SCHEMA
 
     sourced = [ld for ld in config.layers if getattr(ld, "source", "")]
     if not sourced:
         return None
     known = known or {l.name for l in config.layers}
-    out = {k: [] for k in ("url", "feature_id", "layer", "geom_type",
-                           "min_zoom", "z_order", "attrs", "lon", "latp",
-                           "geom")}
+    out = _feature_columns()
     for ld in sourced:
         if not os.path.exists(ld.source):
             continue  # declared layer, archive not present (sandbox)
@@ -886,23 +881,17 @@ def _append_features(out: dict, emit: Emitter, url: str, base_id: int) -> None:
             out["geom"].append(gc.pack_mp(gc.correct_geometry(f.geom_parts)))
 
 
-def _feature_block(block: pa.Table) -> pa.Table:
-    """One feature block as a map task's input: Ray Data emits empty
-    blocks with no columns, which become empty feature tables."""
-    from ..stages.extract import FEATURE_SCHEMA
-    return block if block.num_columns else FEATURE_SCHEMA.empty_table()
-
-
 def osm_tile_dataset(path, config: Config | None = None,
                      profile=None) -> ray.data.Dataset:
     """monaco.pbf (or any .osm.pbf, or a LIST of them — streams union
     through one shared node store, the reference multi-input
     semantics) → MVT tiles through the SAME
-    single-pass engine as the web flagship: each feature block is one
-    unit of the tile chain's map wave."""
+    single-pass engine as the web flagship: each entity table, each
+    multipolygon reducer's output and the external layers are units of
+    the tile chain's map wave."""
     config = config or osm_config()
     from ..stages.salted import data_num_partitions, dir_input_bytes
-    feats = osm_feature_dataset(path, config, profile=profile)
+    units, prep = _feature_units(path, config, profile)
     nparts = data_num_partitions(sum(dir_input_bytes(p)
                                      for p in _paths(path)))
-    return tiles(feats.to_arrow_refs(), _feature_block, nparts, config)
+    return tiles(units, prep, nparts, config)

@@ -296,7 +296,7 @@ class LuaProfile:
         return None if self._postscan_fn is None else self._postscan
 
     def _postscan(self, rel_id: int, tags: dict, parents: list) -> dict:
-        # relation_scan_tables hands parents as (pid, tags, role);
+        # relation_tables hands parents as (pid, tags, role);
         # NextRelation/FindInRelation consume (rid, role, tags)
         rels = [(pid, role, ptags) for pid, ptags, role in parents]
         self._ctx = _Ctx(dict(tags), _LuaScanGeom(), None, rels)

@@ -8,8 +8,9 @@ pbf_reader.h:12-158) — reimplemented from the wire format, not ported.
 Packed-varint payloads are decoded with a numpy-vectorized varint
 kernel; delta decoding is cumsum.
 
-Ray mapping: one read task per blob (blob offsets enumerated cheaply
-up front), each yielding Arrow-ready dicts — see pipelines/osm.py.
+Ray mapping: blob offsets enumerated cheaply up front, then one
+decode task per blob parses it once into Arrow tables — see
+pipelines/osm.py.
 """
 
 from __future__ import annotations
@@ -210,16 +211,9 @@ class PrimitiveBlock:
     n_groups: int = 0
 
 
-def parse_primitive_block(data: bytes,
-                          kinds: tuple[str, ...] = ("node", "way", "relation"),
-                          ) -> PrimitiveBlock:
-    """`kinds` skips decoding of unwanted entity groups: a ways-only
-    pass over a planet file would otherwise pay the dense-node varint
-    decode (~95% of block bytes) three times across the node-store,
-    way and relation passes."""
-    want_node = "node" in kinds
-    want_way = "way" in kinds
-    want_rel = "relation" in kinds
+def parse_primitive_block(data: bytes) -> PrimitiveBlock:
+    """One decompressed OSMData blob: its string table and every entity
+    group, nodes, ways and relations alike."""
     strings: list[bytes] = []
     granularity = 100
     lat_offset = 0
@@ -243,12 +237,6 @@ def parse_primitive_block(data: bytes,
             lon_offset = v
     for g in groups:
         for f, w, v in _fields(g):
-            if f == 2 and not want_node:
-                continue
-            if f == 3 and not want_way:
-                continue
-            if f == 4 and not want_rel:
-                continue
             if f == 2:  # DenseNodes
                 ids = lat = lon = None
                 kv = np.empty(0, dtype=np.int64)
