@@ -171,24 +171,6 @@ def _incremental_tiles(sf_dir: str):
         drop=True)
 
 
-def _image_features(sf_dir: str):
-    from tilemaker_ray.ops.multimodal import q_image_features
-
-    return q_image_features(sf_dir)
-
-
-def _audio_features(sf_dir: str):
-    from tilemaker_ray.ops.multimodal import q_audio_features
-
-    return q_audio_features(sf_dir)
-
-
-def _video_frame_features(sf_dir: str):
-    from tilemaker_ray.ops.multimodal import q_video_frame_features
-
-    return q_video_frame_features(sf_dir)
-
-
 def _flagship_joined_tiles(sf_dir: str):
     """Rows-only: flagship WITH the broadcast spatial-join stage
     (region tagging via STRtree PIP + kNN inside the extractor)."""
@@ -197,56 +179,6 @@ def _flagship_joined_tiles(sf_dir: str):
 
     pages = pages_path(rows_for_sf(sf_dir))
     df = tile_dataset(pages, with_joins=True).to_pandas()
-    out = df[["zoom", "tile_x", "tile_y", "n_features", "n_bytes"]]
-    return out.sort_values(["zoom", "tile_x", "tile_y"]).reset_index(drop=True)
-
-
-def _osm_monaco_tiles(sf_dir: str):
-    """Rows-only: the reference's own monaco.pbf fixture through the
-    same engine (one decode wave over the PBF blobs → ways gathered
-    from the node store → multipolygon assembly → profile → tiles);
-    per-tile summary rows."""
-    from tilemaker_ray.pipelines.osm import osm_tile_dataset
-
-    df = osm_tile_dataset("/root/reference/test/monaco.pbf").to_pandas()
-    out = df[["zoom", "tile_x", "tile_y", "n_features", "n_bytes"]]
-    return out.sort_values(["zoom", "tile_x", "tile_y"]).reset_index(drop=True)
-
-
-def _osm_monaco_lua_tiles(sf_dir: str):
-    """Rows-only: monaco.pbf through the reference's SHIPPED
-    process-openmaptiles.lua executed by the built-in Lua interpreter
-    (tilemaker_ray/lua.py + profiles/lua_profile.py) — the user
-    `process.lua` surface through the driver; byte-identity with the
-    hand-port is test-asserted (tests/test_lua.py::TestLuaMonacoBytes)."""
-    from tilemaker_ray.pipelines.osm import osm_tile_dataset
-    from tilemaker_ray.profiles.lua_profile import LuaProfile
-    from tilemaker_ray.profiles.openmaptiles import openmaptiles_config
-
-    df = osm_tile_dataset(
-        "/root/reference/test/monaco.pbf", openmaptiles_config(),
-        profile=LuaProfile(
-            "/root/reference/resources/process-openmaptiles.lua")
-    ).to_pandas()
-    out = df[["zoom", "tile_x", "tile_y", "n_features", "n_bytes"]]
-    return out.sort_values(["zoom", "tile_x", "tile_y"]).reset_index(
-        drop=True)
-
-
-def _osm_monaco_omt_tiles(sf_dir: str):
-    """Rows-only: monaco.pbf through the FULL OpenMapTiles production
-    profile (profiles/openmaptiles.py — the reference's
-    process-openmaptiles.lua equivalent, exercising every verb: place
-    ranks, admin boundaries from relations, POI class tables, write_to
-    chains, area-derived minzooms); per-tile feature counts are frozen
-    in tests/test_openmaptiles.py."""
-    from tilemaker_ray.pipelines.osm import osm_tile_dataset
-    from tilemaker_ray.profiles.openmaptiles import (OpenMapTilesProfile,
-                                                     openmaptiles_config)
-
-    df = osm_tile_dataset("/root/reference/test/monaco.pbf",
-                          openmaptiles_config(),
-                          profile=OpenMapTilesProfile()).to_pandas()
     out = df[["zoom", "tile_x", "tile_y", "n_features", "n_bytes"]]
     return out.sort_values(["zoom", "tile_x", "tile_y"]).reset_index(drop=True)
 
@@ -262,8 +194,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     variant) + lm_bits + lm_tercile + seq_pack (packing positions via
     distributed prefix sum), hash_sample carries stratified_sample +
     weighted_sample + lang_balance.  Rows-only pipelines
-    (approximate-by-construction, iterative, codec-bound, or MVT-blob
-    outputs gated by golden fixtures) come last."""
+    (approximate-by-construction, iterative, or MVT-blob outputs gated
+    by golden fixtures) come last."""
     from tilemaker_ray.ops import dedup, relational, sampling, text, web
 
     return {
@@ -338,12 +270,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # "fingerprint" row as exact per-doc count+bit_xor — the
         # exploded-rows variant was driver-green in round 3 and stays
         # covered by tests/test_text.py)
-        # multimodal plumbing (real BMP/PGM/PPM/PNG, WAV-PCM, raw-video
-        # codecs; jpeg/webp/mp3/h264 stubbed at marked swap-in points;
-        # schema/actor wiring real — rows-only)
-        "image_features": _image_features,
-        "audio_features": _audio_features,
-        "video_frame_features": _video_frame_features,
         # flagship tiling pipeline (rows-only; MVT blob content gated
         # by unit + golden-byte tests)
         "flagship_tiles": _flagship_tiles,
@@ -351,10 +277,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # incremental tile maintenance across crawl snapshots (rows-
         # only; byte-parity with a full re-render test-asserted)
         "incremental_tiles": _incremental_tiles,
-        # OSM-source pipeline on the reference's Monaco fixture
-        "osm_monaco_tiles": _osm_monaco_tiles,
-        "osm_monaco_omt_tiles": _osm_monaco_omt_tiles,
-        "osm_monaco_lua_tiles": _osm_monaco_lua_tiles,
     }
 
 

@@ -181,6 +181,27 @@ class TestCli:
         assert len(want) > 10
         assert got == want
 
+    @pytest.mark.parametrize("bbox", [
+        "a,b,c,d",          # not numbers
+        "1,2,3",            # three values
+        "8,44,7,43",        # min > max
+        "nan,43,8,44",      # not finite
+        "-181,43,8,44",     # lon out of range
+        "7,-91,8,44",       # lat out of range
+    ])
+    def test_bad_bbox_exits_2_before_ray(self, bbox, tmp_path):
+        """A malformed --bbox exits 2 with a message, before Ray is
+        even imported."""
+        code = ("import sys; from tilemaker_ray.__main__ import main; "
+                "rc = main(sys.argv[1:]); print(rc, 'ray' in sys.modules)")
+        r = subprocess.run(
+            [sys.executable, "-c", code, "--input", str(tmp_path),
+             "--output", str(tmp_path / "t.mbtiles"), f"--bbox={bbox}"],
+            capture_output=True, text=True, cwd=ROOT, timeout=60)
+        assert r.stdout.split() == ["2", "False"], r.stdout + r.stderr
+        assert "error: --bbox" in r.stderr
+        assert not os.path.exists(tmp_path / "t.mbtiles")
+
     def test_resume_into_container_errors(self, tmp_path):
         """--resume writes a tile directory: a .mbtiles or .pmtiles
         output exits 2 with a message and writes nothing."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -114,6 +115,13 @@ def main(argv=None) -> int:
               ".osm.pbf rerun without --resume (tile writes are "
               "atomic per container)", file=sys.stderr)
         return 2
+    bbox = None
+    if args.bbox:
+        try:
+            bbox = _parse_bbox(args.bbox)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
     import ray
     if not ray.is_initialized():
@@ -163,10 +171,10 @@ def main(argv=None) -> int:
     else:
         config = default_config()
 
-    if args.bbox:
+    if bbox:
         # restrict the generated tileset to tiles intersecting the box
         # (reference --bbox, options_parser.cpp:18-46)
-        config.bbox = tuple(float(x) for x in args.bbox.split(","))
+        config.bbox = bbox
 
     if not args.quiet:
         kind = ("OSM pbf" if is_pbf else
@@ -191,8 +199,7 @@ def main(argv=None) -> int:
         from .pipelines.flagship import tile_dataset
         tiles = tile_dataset(args.input, config, with_joins=args.joins)
 
-    bounds = tuple(float(x) for x in args.bbox.split(",")) if args.bbox \
-        else (-180.0, -85.06, 180.0, 85.06)
+    bounds = bbox or (-180.0, -85.06, 180.0, 85.06)
 
     def tile_rows():
         # stream blobs off the object store into the single-writer
@@ -238,6 +245,24 @@ def main(argv=None) -> int:
               f"[total {time.time() - t0:.1f}s]")
     ray.shutdown()
     return 0
+
+
+def _parse_bbox(text: str) -> tuple[float, float, float, float]:
+    """``minlon,minlat,maxlon,maxlat`` as four finite floats with
+    min < max on each axis, lon in [-180, 180] and lat in [-90, 90];
+    ValueError otherwise."""
+    try:
+        box = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        box = ()
+    if len(box) != 4 or not all(math.isfinite(v) for v in box):
+        raise ValueError(f"--bbox wants four finite numbers "
+                         f"minlon,minlat,maxlon,maxlat: {text}")
+    minlon, minlat, maxlon, maxlat = box
+    if not (-180 <= minlon < maxlon <= 180 and -90 <= minlat < maxlat <= 90):
+        raise ValueError(f"--bbox wants minlon < maxlon in [-180, 180] and "
+                         f"minlat < maxlat in [-90, 90]: {text}")
+    return box
 
 
 def _is_container(path: str) -> bool:

@@ -13,9 +13,10 @@ prep on its unit and cuts the rows into a piece per reducer by `key`,
 and a reduce task calls fn once per key value it holds. Every grouped
 step of a tile path runs it. `tiles` is the build above. `assemble` is
 the same over GeomMap rows already made (the incremental pipeline's
-feature store). `exchange` is a Ray Data groupby-map with no prep: the
-crawl delta's bucket join, the Bloom confirm join and multipolygon
-assembly. The resumable run passes its own prep and fn.
+feature store). `exchange` is `waves` over a Dataset's blocks with no
+prep; its users are the crawl delta's bucket join and the Bloom confirm
+join. Multipolygon assembly (pipelines/osm) and the resumable run call
+`waves` directly, with their own prep and fn.
 `tiles_local` runs the same stages in this process over a features
 table: the reference the tests and scripts/freeze_golden.py check the
 Ray chain's tiles against. A tile's bytes depend only on its rows, so
