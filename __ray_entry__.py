@@ -171,6 +171,24 @@ def _incremental_tiles(sf_dir: str):
         drop=True)
 
 
+def _image_features(sf_dir: str):
+    from tilemaker_ray.ops.multimodal import q_image_features
+
+    return q_image_features(sf_dir)
+
+
+def _audio_features(sf_dir: str):
+    from tilemaker_ray.ops.multimodal import q_audio_features
+
+    return q_audio_features(sf_dir)
+
+
+def _video_frame_features(sf_dir: str):
+    from tilemaker_ray.ops.multimodal import q_video_frame_features
+
+    return q_video_frame_features(sf_dir)
+
+
 def _flagship_joined_tiles(sf_dir: str):
     """Rows-only: flagship WITH the broadcast spatial-join stage
     (region tagging via STRtree PIP + kNN inside the extractor)."""
@@ -194,8 +212,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     variant) + lm_bits + lm_tercile + seq_pack (packing positions via
     distributed prefix sum), hash_sample carries stratified_sample +
     weighted_sample + lang_balance.  Rows-only pipelines
-    (approximate-by-construction, iterative, or MVT-blob outputs gated
-    by golden fixtures) come last."""
+    (approximate-by-construction, iterative, codec-bound, or MVT-blob
+    outputs gated by golden fixtures) come last."""
     from tilemaker_ray.ops import dedup, relational, sampling, text, web
 
     return {
@@ -270,6 +288,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # "fingerprint" row as exact per-doc count+bit_xor — the
         # exploded-rows variant was driver-green in round 3 and stays
         # covered by tests/test_text.py)
+        # multimodal plumbing (real BMP/PGM/PPM/PNG/JPEG, WAV-PCM,
+        # raw-video codecs; webp/mp3/h264 stubbed at marked swap-in
+        # points; schema/actor wiring real — rows-only)
+        "image_features": _image_features,
+        "audio_features": _audio_features,
+        "video_frame_features": _video_frame_features,
         # flagship tiling pipeline (rows-only; MVT blob content gated
         # by unit + golden-byte tests)
         "flagship_tiles": _flagship_tiles,

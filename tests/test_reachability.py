@@ -16,8 +16,9 @@ ROOTS = ["__main__", "pipelines.flagship", "pipelines.osm",
          "pipelines.incremental", "pipelines.resumable", "serve",
          "sinks.*", "stages.spatial_join"]
 # Modules that only the driver contract (__ray_entry__.py) reaches:
-# the LLM-data operators still waiting to be cut.
-DRIVER_ONLY = {f"{PKG}.ops.{m}" for m in ("bpe", "dedup", "sampling")}
+# the LLM-data and media operators still waiting to be cut.
+DRIVER_ONLY = {f"{PKG}.ops.{m}" for m in ("bpe", "dedup", "sampling",
+                                          "jpeg", "png", "multimodal")}
 
 
 def _modules() -> dict[str, Path]:

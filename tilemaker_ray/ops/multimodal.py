@@ -2,13 +2,12 @@
 typed metadata, processed by actor-pool map_batches stages.
 
 Decode kernels: baseline JPEG (ops/jpeg.py — huffman + DCT with
-subsampling and restart markers), lossless WebP (ops/webp.py — VP8L
-with all four transforms, color cache, meta prefix codes and LZ77),
-PNG (ops/png.py — all five scanline filters, gray/RGB/RGBA/palette,
-CRC-checked), BMP (24-bit / 8-bit paletted) and PGM/PPM are REAL
-pure-python decoders of the public formats; the remaining formats
-(lossy-VP8 webp / mp3 / h264 — no codec libraries in this container)
-use the deterministic fake codec and raise NotImplementedError
+subsampling and restart markers), PNG (ops/png.py — all five scanline
+filters, gray/RGB/RGBA/palette, CRC-checked), BMP (24-bit / 8-bit
+paletted) and PGM/PPM are REAL pure-python decoders of the public
+formats; the remaining formats (webp / mp3 / h264 — no codec
+libraries in this container) use the deterministic fake codec and
+raise NotImplementedError
 otherwise, the marked swap-in point for PIL/torchvision/ffmpeg.  Everything around
 them — schema, batch sizing for large binary payloads, actor
 signature, broadcast model weights, output layout — is real and
@@ -43,15 +42,14 @@ FEATURE_DIM = 32
 
 def synth_image_table(n: int, seed: int = 7) -> pa.Table:
     """Deterministic 'encoded images', mixing REAL formats (BMP, PGM,
-    PNG, baseline JPEG, lossless WebP — decoded by the pure-numpy
-    codecs) with the fake codec that stands in for the remaining
-    stubbed formats."""
+    PNG, baseline JPEG — decoded by the pure-numpy codecs) with the
+    fake codec that stands in for the remaining stubbed formats."""
     rng = np.random.default_rng(seed)
     rows = {"doc_id": [], "media_type": [], "payload": [], "width": [], "height": []}
     for i in range(n):
         w = int(rng.integers(16, 128))
         h = int(rng.integers(16, 128))
-        kind = i % 7
+        kind = i % 6
         if kind == 0:
             img = rng.integers(0, 256, (h, w), dtype=np.uint8)
             payload = encode_bmp_gray(img)
@@ -75,12 +73,6 @@ def synth_image_table(n: int, seed: int = 7) -> pa.Table:
             img = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
             payload = encode_jpeg(img, quality=85)
             mt = "image/jpeg"
-        elif kind == 5:
-            from .webp import encode_webp
-            img = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
-            payload = encode_webp(img, subtract_green=bool(i & 8),
-                                  cache_bits=4 if i & 16 else 0)
-            mt = "image/webp"
         else:
             payload = struct.pack("<II", w, h) + rng.bytes(w * h // 4)
             mt = "image/fake"
@@ -171,21 +163,16 @@ def decode_image(payload: bytes, media_type: str) -> np.ndarray:
     """Decode an encoded image to (h, w) uint8 grayscale.
 
     Real pure-python codecs: baseline JPEG (ops/jpeg.py — huffman +
-    DCT, 4:2:0/4:2:2/4:4:4, restart markers), PNG, lossless WebP
-    (ops/webp.py — VP8L: all four transforms, color cache, meta
-    prefix codes, LZ77), BMP (24-bit RGB / 8-bit paletted) and
-    PGM/PPM.  The deterministic fake codec ("image/fake") stands in
-    for the remaining formats (lossy-VP8 webp, which needs the VP8
-    video coder); those raise NotImplementedError — the marked
-    swap-in point for PIL."""
+    DCT, 4:2:0/4:2:2/4:4:4, restart markers), PNG, BMP (24-bit RGB /
+    8-bit paletted) and PGM/PPM.  The deterministic fake codec
+    ("image/fake") stands in for the remaining formats (webp among
+    them); those raise NotImplementedError — the marked swap-in point
+    for PIL."""
     if media_type == "image/bmp":
         return decode_bmp(payload)
     if media_type == "image/jpeg":
         from .jpeg import decode_jpeg
         return decode_jpeg(payload)
-    if media_type == "image/webp":
-        from .webp import decode_webp_gray
-        return decode_webp_gray(payload)
     if media_type == "image/png":
         from .png import decode_png
         return decode_png(payload)
